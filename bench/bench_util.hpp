@@ -19,57 +19,7 @@
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 namespace qip::bench {
-
-/// Process-wide peak resident set size, in bytes (0 where the platform
-/// offers no getrusage). Monotonic over the process lifetime: a bench
-/// row records the high-water mark up to that point, so rows should be
-/// read as "this phase needed at most this much".
-inline std::size_t peak_rss_bytes() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage ru {};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-#if defined(__APPLE__)
-  return static_cast<std::size_t>(ru.ru_maxrss);  // bytes on macOS
-#else
-  return static_cast<std::size_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
-#endif
-#else
-  return 0;
-#endif
-}
-
-/// Summary of repeated timed runs of one body.
-struct Timing {
-  double min_s = 0;     ///< noise floor: best observed wall time
-  double median_s = 0;  ///< typical wall time (robust to stragglers)
-};
-
-/// Run `body` once untimed (fault in pages, grow allocator arenas, warm
-/// branch predictors and caches), then `reps` timed iterations. The
-/// minimum filters scheduler noise on shared machines; the median shows
-/// whether the minimum is representative or a lucky outlier.
-template <class F>
-Timing time_reps(int reps, F&& body) {
-  body();  // warm-up, untimed
-  std::vector<double> t(static_cast<std::size_t>(reps));
-  for (auto& sec : t) {
-    Timer timer;
-    body();
-    sec = timer.seconds();
-  }
-  std::sort(t.begin(), t.end());
-  Timing out;
-  out.min_s = t.front();
-  const std::size_t n = t.size();
-  out.median_s =
-      n % 2 ? t[n / 2] : 0.5 * (t[n / 2 - 1] + t[n / 2]);
-  return out;
-}
 
 /// One timed compression + decompression run.
 struct RunResult {
@@ -146,13 +96,6 @@ inline void header(const std::string& title) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title.c_str());
   std::printf("================================================================\n");
-}
-
-/// Standard error-bound sweep used by the rate-distortion figures.
-inline const std::vector<double>& rd_error_bounds() {
-  static const std::vector<double> ebs = {1e-1, 3e-2, 1e-2, 3e-3, 1e-3,
-                                          3e-4, 1e-4, 3e-5, 1e-5};
-  return ebs;
 }
 
 /// Relative error bounds are scaled by the field's value range so that

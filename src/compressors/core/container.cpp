@@ -79,8 +79,8 @@ ParsedHeader parse_header(std::span<const std::uint8_t> bytes) {
   return h;
 }
 
-/// Parse a v2/v3 stage-section body (already LZB-decompressed) into a
-/// section index.
+/// Parse a stage-section body (already LZB-decompressed) into a section
+/// index.
 std::vector<StageSection> parse_sections(
     const std::vector<std::uint8_t>& body) {
   ByteReader b(body);
@@ -201,13 +201,6 @@ void ContainerReader::parse(std::span<const std::uint8_t> bytes,
   max_body_ = max_body;
   pool_ = pool;
 
-  if (version_ == 2) {
-    // v2: the whole body is one LZB block of stage sections.
-    body_ = lzb_decompress(h.body, max_body, pool);
-    sections_ = parse_sections(body_);
-    return;
-  }
-
   ByteReader r(h.body);
   body_ = lzb_decompress(r.get_block(), max_body, pool);
   sections_ = parse_sections(body_);
@@ -321,7 +314,7 @@ std::vector<std::uint8_t> ContainerReader::chunk_bytes(
   // Symbol chunks decode to symbol_count u32s; a valid Huffman frame for
   // them is bounded by a few bytes per symbol plus the code table, so
   // anything past that cap is a bomb. Raw chunks fall back to the
-  // caller's body cap, like the v2 body did.
+  // caller's body cap, like the meta block.
   const std::uint64_t sym_cap =
       c.symbol_count < (std::numeric_limits<std::uint64_t>::max() - 65536) / 16
           ? std::uint64_t{16} * c.symbol_count + 65536

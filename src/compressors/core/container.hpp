@@ -34,11 +34,11 @@
 // the payload bytes actually present, so a truncated download fails only
 // when a missing chunk is really asked for.
 //
-// Version 2 archives (single LZB body holding the stage sections, with
-// the whole entropy payload inside a kSymbols section) still open; the
-// reader exposes them as stage sections with an empty chunk directory.
-// find_compressor_for, `qipc info`, and the fuzz harness all parse
-// exactly these layouts and nothing else.
+// Version 2 archives (a single LZB body holding the stage sections, with
+// the whole entropy payload inside a kSymbols section) are refused with
+// UnknownCodecError at the version gate, like any other unsupported
+// version. find_compressor_for, `qipc info`, and the fuzz harness all
+// parse exactly the v3 layout and nothing else.
 
 #include <atomic>
 #include <cstdint>
@@ -65,7 +65,7 @@ inline constexpr std::uint32_t kContainerMagic = 0x43504951;  // "QIPC"
 inline constexpr std::uint8_t kContainerVersion = 3;
 
 /// Oldest container version this build still opens.
-inline constexpr std::uint8_t kContainerMinVersion = 2;
+inline constexpr std::uint8_t kContainerMinVersion = 3;
 
 /// Magic of multi-chunk parallel archives (parallel/chunked.cpp). Listed
 /// here so every tool can tell the two top-level formats apart from one
@@ -102,7 +102,7 @@ constexpr std::uint8_t dtype_tag<double>() { return 2; }
 /// Stage sections a codec may store. Serialized; append-only.
 enum class StageId : std::uint8_t {
   kConfig = 1,       ///< codec knobs + model state (plan, quantizer, factors)
-  kSymbols = 2,      ///< entropy-coded symbol / coefficient stream (v2 only)
+  kSymbols = 2,      ///< v2's monolithic symbol stream; no codec writes it
   kCorrections = 3,  ///< sparse bound-enforcing patch list
 };
 
@@ -179,7 +179,7 @@ struct ChunkEntry {
 };
 
 /// Parsed v3 payload directory. Empty (zero chunks, inactive tiling) for
-/// v2 archives and v3 archives that carry no payload chunks.
+/// archives that carry no payload chunks.
 struct PayloadDirectory {
   int level_count = 0;
   TileLayout tiling;
@@ -279,7 +279,7 @@ class ContainerReader {
     return ByteReader(stage_bytes(id));
   }
 
-  /// Payload directory; empty for v2 archives.
+  /// Payload directory; empty when the archive carries no chunks.
   const PayloadDirectory& directory() const { return dir_; }
 
   std::size_t chunk_count() const { return dir_.chunks.size(); }

@@ -158,19 +158,30 @@ inline void write_symbol_chunks(ContainerWriter& out,
                   spans[i].outlier_count, std::move(frames[i]));
 }
 
-/// Reassemble the full symbol stream: v2 archives decode the monolithic
-/// kSymbols stage, v3 archives decode every payload chunk (in directory
-/// = traversal order) and concatenate. Each v3 chunk must decode to
-/// exactly its declared symbol count — the guard that keeps hostile
-/// directories from shifting later chunks' symbols.
-[[nodiscard]] inline std::vector<std::uint32_t> read_symbols_stage(
-    const ContainerReader& in, ThreadPool* pool) {
-  if (in.version() == 2)
-    return huffman_decode(in.stage_bytes(StageId::kSymbols), pool);
+/// Length of the chunk-list prefix that holds the levels >= `level`.
+/// Chunks are ordered coarse level first, so a decode that stops at
+/// `level` reads exactly this prefix.
+[[nodiscard]] inline std::size_t level_prefix(const ContainerReader& in,
+                                              int level) {
   const std::vector<ChunkEntry>& chunks = in.directory().chunks;
-  std::vector<std::size_t> offsets(chunks.size());
+  std::size_t n = 0;
+  while (n < chunks.size() && chunks[n].level >= level) ++n;
+  return n;
+}
+
+/// Decode payload chunks [0, n) and concatenate their symbols in
+/// directory (= traversal) order: every chunk for a full decode, a
+/// coarse prefix for a preview or a region's untiled band. The
+/// directory declares each chunk's symbol count, so each chunk decodes
+/// into a precomputed slot and the chunks fan out over `pool`. Each
+/// must decode to exactly its declared count — the guard that keeps
+/// hostile directories from shifting later chunks' symbols.
+[[nodiscard]] inline std::vector<std::uint32_t> read_symbols_stage(
+    const ContainerReader& in, std::size_t n, ThreadPool* pool) {
+  const std::vector<ChunkEntry>& chunks = in.directory().chunks;
+  std::vector<std::size_t> offsets(n);
   std::size_t total = 0;
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (chunks[i].symbol_count == 0)
       throw DecodeError("raw payload chunk in a symbol-stream archive");
     offsets[i] = total;
@@ -178,17 +189,16 @@ inline void write_symbol_chunks(ContainerWriter& out,
   }
   std::vector<std::uint32_t> symbols(total);
   auto decode_one = [&](std::size_t i, ThreadPool* p) {
-    const std::vector<std::uint8_t> frame = in.chunk_bytes(i);
-    const std::vector<std::uint32_t> syms = huffman_decode(frame, p);
+    const std::vector<std::uint32_t> syms =
+        huffman_decode(in.chunk_bytes(i), p);
     if (syms.size() != chunks[i].symbol_count)
       throw DecodeError("payload chunk symbol count mismatch");
     std::copy(syms.begin(), syms.end(), symbols.begin() + offsets[i]);
   };
-  if (pool && chunks.size() > 1) {
-    pool->parallel_for(chunks.size(),
-                       [&](std::size_t i) { decode_one(i, nullptr); });
+  if (pool && n > 1) {
+    pool->parallel_for(n, [&](std::size_t i) { decode_one(i, nullptr); });
   } else {
-    for (std::size_t i = 0; i < chunks.size(); ++i) decode_one(i, pool);
+    for (std::size_t i = 0; i < n; ++i) decode_one(i, pool);
   }
   return symbols;
 }
@@ -200,14 +210,9 @@ inline void write_raw_chunk(ContainerWriter& out,
   out.add_chunk(1, kWholeDomainTile, 0, 0, std::move(bytes));
 }
 
-/// Counterpart of write_raw_chunk(); v2 archives read the legacy
-/// kSymbols stage instead.
+/// Counterpart of write_raw_chunk().
 [[nodiscard]] inline std::vector<std::uint8_t> read_raw_chunk(
     const ContainerReader& in) {
-  if (in.version() == 2) {
-    const auto s = in.stage_bytes(StageId::kSymbols);
-    return std::vector<std::uint8_t>(s.begin(), s.end());
-  }
   if (in.chunk_count() != 1 || in.directory().chunks[0].symbol_count != 0)
     throw DecodeError("expected a single raw payload chunk");
   return in.chunk_bytes(0);
@@ -280,12 +285,10 @@ void interp_encode_stages(ContainerWriter& out, const T* data,
 }
 
 /// The tile layout a decode must replay: the one the archive's directory
-/// committed (inactive for v2 archives).
+/// committed, or nullptr for an untiled archive.
 [[nodiscard]] inline const TileLayout* archive_tiles(
     const ContainerReader& in) {
-  return in.version() >= 3 && in.directory().tiling.active()
-             ? &in.directory().tiling
-             : nullptr;
+  return in.directory().tiling.active() ? &in.directory().tiling : nullptr;
 }
 
 /// Decode counterpart of interp_encode_stages().
@@ -297,7 +300,8 @@ void interp_decode_stages(const ContainerReader& in, T* out,
   const InterpPlan plan = InterpPlan::load(h);
   LinearQuantizer<T> quant(c.error_bound);
   quant.load(h);
-  const std::vector<std::uint32_t> symbols = read_symbols_stage(in, pool);
+  const std::vector<std::uint32_t> symbols =
+      read_symbols_stage(in, in.chunk_count(), pool);
   InterpEngine<T>::decode(symbols, in.dims(), plan, c.error_bound, quant,
                           c.qp, out, archive_tiles(in), /*stop_level=*/1,
                           pool);
@@ -315,6 +319,14 @@ template <class T>
   interp_encode_stages(out, data, dims, plan, error_bound, radius, qp, pool,
                        artifacts, tile_size);
   return out.seal(pool);
+}
+
+/// Report how much of the declared payload a partial decode read.
+inline void record_payload_read(const ContainerReader& in,
+                                PartialDecodeStats* stats) {
+  if (!stats) return;
+  stats->payload_bytes_read = in.payload_bytes_read();
+  stats->payload_bytes_total = in.payload_bytes_declared();
 }
 
 /// Extent of the level-`level` preview grid along an axis of extent `e`.
@@ -352,9 +364,7 @@ template <class T>
 /// only the payload chunks of levels >= `level` (a prefix of the chunk
 /// list) and return the decimated level-`level` grid. Bit-identical to
 /// decimating a full decode, because every grid point's value is final
-/// the moment its own level is processed. v2 archives take the same
-/// path through their monolithic symbol stage (no byte savings, same
-/// bits).
+/// the moment its own level is processed.
 template <class T>
 [[nodiscard]] Field<T> interp_preview_core(const ContainerReader& in,
                                            int level, ThreadPool* pool,
@@ -366,50 +376,12 @@ template <class T>
   if (level < 1 || level > level_count)
     throw DecodeError("preview level outside the archive's level range");
 
-  std::vector<std::uint32_t> symbols;
-  if (in.version() == 2) {
-    symbols = read_symbols_stage(in, pool);
-  } else {
-    // Chunks are ordered coarse-to-fine, so "levels >= level" is a
-    // prefix; its per-chunk symbol counts are declared in the
-    // directory, so each chunk decodes into a precomputed slot and the
-    // prefix fans out over the pool like read_symbols_stage().
-    const std::vector<ChunkEntry>& chunks = in.directory().chunks;
-    std::size_t n = 0, total = 0;
-    std::vector<std::size_t> offsets;
-    while (n < chunks.size() && chunks[n].level >= level) {
-      if (chunks[n].symbol_count == 0)
-        throw DecodeError("raw payload chunk in a symbol-stream archive");
-      offsets.push_back(total);
-      total += chunks[n].symbol_count;
-      ++n;
-    }
-    symbols.resize(total);
-    auto decode_one = [&](std::size_t i, ThreadPool* p) {
-      const std::vector<std::uint32_t> syms =
-          huffman_decode(in.chunk_bytes(i), p);
-      if (syms.size() != chunks[i].symbol_count)
-        throw DecodeError("payload chunk symbol count mismatch");
-      std::copy(syms.begin(), syms.end(), symbols.begin() + offsets[i]);
-    };
-    if (pool && n > 1) {
-      pool->parallel_for(n, [&](std::size_t i) { decode_one(i, nullptr); });
-    } else {
-      for (std::size_t i = 0; i < n; ++i) decode_one(i, pool);
-    }
-  }
-
+  const std::vector<std::uint32_t> symbols =
+      read_symbols_stage(in, level_prefix(in, level), pool);
   Field<T> full(in.dims());
   InterpEngine<T>::decode(symbols, in.dims(), plan, c.error_bound, quant,
                           c.qp, full.data(), archive_tiles(in), level, pool);
-  if (stats) {
-    stats->payload_bytes_read = in.version() == 2
-                                    ? in.stage_bytes(StageId::kSymbols).size()
-                                    : in.payload_bytes_read();
-    stats->payload_bytes_total =
-        in.version() == 2 ? in.stage_bytes(StageId::kSymbols).size()
-                          : in.payload_bytes_declared();
-  }
+  record_payload_read(in, stats);
   return decimate_to_level(full.data(), in.dims(), level);
 }
 
@@ -465,35 +437,11 @@ template <class T>
   const Box b = validate_region(box, dims);
 
   // Coarse pass: the untiled levels are the prefix of the chunk list
-  // above the tiled band; decode their frames concurrently into
-  // precomputed slots (symbol counts are declared in the directory),
-  // then run the level walk globally.
+  // above the tiled band; decode them, then run the level walk globally.
   const std::vector<ChunkEntry>& chunks = in.directory().chunks;
-  std::size_t first_tiled = 0, coarse_total = 0;
-  std::vector<std::size_t> coarse_offsets;
-  while (first_tiled < chunks.size() &&
-         chunks[first_tiled].level > tiles->max_level) {
-    if (chunks[first_tiled].symbol_count == 0)
-      throw DecodeError("raw payload chunk in a symbol-stream archive");
-    coarse_offsets.push_back(coarse_total);
-    coarse_total += chunks[first_tiled].symbol_count;
-    ++first_tiled;
-  }
-  std::vector<std::uint32_t> symbols(coarse_total);
-  auto decode_coarse = [&](std::size_t i, ThreadPool* p) {
-    const std::vector<std::uint32_t> syms =
-        huffman_decode(in.chunk_bytes(i), p);
-    if (syms.size() != chunks[i].symbol_count)
-      throw DecodeError("payload chunk symbol count mismatch");
-    std::copy(syms.begin(), syms.end(),
-              symbols.begin() + coarse_offsets[i]);
-  };
-  if (pool && first_tiled > 1) {
-    pool->parallel_for(first_tiled,
-                       [&](std::size_t i) { decode_coarse(i, nullptr); });
-  } else {
-    for (std::size_t i = 0; i < first_tiled; ++i) decode_coarse(i, pool);
-  }
+  const std::size_t first_tiled = level_prefix(in, tiles->max_level + 1);
+  const std::vector<std::uint32_t> symbols =
+      read_symbols_stage(in, first_tiled, pool);
   Field<T> full(dims);
   InterpEngine<T>::decode(symbols, dims, plan, c.error_bound, quant, c.qp,
                           full.data(), tiles, tiles->max_level + 1, pool);
@@ -545,10 +493,7 @@ template <class T>
     band = band_end;
   }
 
-  if (stats) {
-    stats->payload_bytes_read = in.payload_bytes_read();
-    stats->payload_bytes_total = in.payload_bytes_declared();
-  }
+  record_payload_read(in, stats);
 
   // Crop.
   std::size_t e[kMaxRank] = {1, 1, 1, 1};

@@ -44,17 +44,6 @@
 
 namespace qip {
 
-/// Runtime A/B gate for the parallel level walk: QIP_INTERP_FORCE_SEQ=1
-/// forces every stage onto the sequential path even when a pool is
-/// supplied (the worker-count byte-identity oracle, and the perf-triage
-/// escape hatch — the compile-time sibling of QIP_INTERP_FORCE_GENERIC).
-/// Defined in src/compressors/interp_par.cpp.
-[[nodiscard]] bool interp_force_seq();
-
-/// Test hook: >= 0 overrides the environment (1 = forced sequential,
-/// 0 = parallel allowed); -1 restores the QIP_INTERP_FORCE_SEQ value.
-void set_interp_force_seq_override(int v);
-
 /// One contiguous run of the encoded symbol stream: the symbols of one
 /// interpolation level, or of one tile within a tiled level (tile ==
 /// kWholeDomainTile for untiled runs). Recorded by the encoder in
@@ -395,9 +384,8 @@ class InterpEngine {
                         const std::array<std::size_t, kMaxRank>& hi,
                         std::size_t tile_known = 0,
                         ThreadPool* pool = nullptr) {
-#ifndef QIP_INTERP_FORCE_GENERIC  // A/B escape hatch for perf triage
     if (!blocked && ctx.md_mask == 0) {
-      if (pool != nullptr && sym_spatial == nullptr && !interp_force_seq() &&
+      if (pool != nullptr && sym_spatial == nullptr &&
           run_stage_par<kEncode>(data, dims, ctx, kind, quant, qp, syms,
                                  cursor, codes, pool))
         return;
@@ -405,7 +393,6 @@ class InterpEngine {
                              codes, sym_spatial);
       return;
     }
-#endif
     const std::int32_t radius = quant.radius();
     const std::size_t s2 = 2 * ctx.g.stride;
 

@@ -155,7 +155,7 @@ MGARDStream<T> mgard_read_header(const ContainerReader& in) {
 template <class T>
 MGARDStream<T> mgard_read_stream(const ContainerReader& in, ThreadPool* pool) {
   MGARDStream<T> s = mgard_read_header<T>(in);
-  s.symbols = read_symbols_stage(in, pool);
+  s.symbols = read_symbols_stage(in, in.chunk_count(), pool);
   return s;
 }
 
@@ -245,22 +245,7 @@ struct MGARDCodec {
     if (level < 1 || level > levels)
       throw DecodeError("preview level outside the archive's level range");
     const Dims& dims = in.dims();
-
-    if (in.version() == 2) {
-      s.symbols = read_symbols_stage(in, pool);
-    } else {
-      const std::vector<ChunkEntry>& chunks = in.directory().chunks;
-      for (std::size_t i = 0;
-           i < chunks.size() && chunks[i].level >= level; ++i) {
-        if (chunks[i].symbol_count == 0)
-          throw DecodeError("raw payload chunk in a symbol-stream archive");
-        const std::vector<std::uint32_t> syms =
-            huffman_decode(in.chunk_bytes(i), pool);
-        if (syms.size() != chunks[i].symbol_count)
-          throw DecodeError("payload chunk symbol count mismatch");
-        s.symbols.insert(s.symbols.end(), syms.begin(), syms.end());
-      }
-    }
+    s.symbols = read_symbols_stage(in, level_prefix(in, level), pool);
 
     Field<T> full(dims);
     std::vector<std::uint32_t> codes(dims.size(), 0);
@@ -271,14 +256,7 @@ struct MGARDCodec {
     if (level == 1)
       apply_corrections_stage(in, full.data(), dims.size(),
                               s.c.error_bound / 2.0, "mgard");
-    if (stats) {
-      stats->payload_bytes_read =
-          in.version() == 2 ? in.stage_bytes(StageId::kSymbols).size()
-                            : in.payload_bytes_read();
-      stats->payload_bytes_total =
-          in.version() == 2 ? in.stage_bytes(StageId::kSymbols).size()
-                            : in.payload_bytes_declared();
-    }
+    record_payload_read(in, stats);
     return decimate_to_level(full.data(), dims, level);
   }
 };

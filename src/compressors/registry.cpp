@@ -250,19 +250,11 @@ CompressorEntry make_entry() {
     return Front::template decompress<double>(a);
   };
   e.decompress_into_f32 = [](std::span<const std::uint8_t> a, float* dst,
-                             const Dims& d) {
-    Front::template decompress_into<float>(a, dst, d, nullptr);
-  };
-  e.decompress_into_f64 = [](std::span<const std::uint8_t> a, double* dst,
-                             const Dims& d) {
-    Front::template decompress_into<double>(a, dst, d, nullptr);
-  };
-  e.decompress_into_pool_f32 = [](std::span<const std::uint8_t> a, float* dst,
-                                  const Dims& d, ThreadPool* pool) {
+                             const Dims& d, ThreadPool* pool) {
     Front::template decompress_into<float>(a, dst, d, pool);
   };
-  e.decompress_into_pool_f64 = [](std::span<const std::uint8_t> a, double* dst,
-                                  const Dims& d, ThreadPool* pool) {
+  e.decompress_into_f64 = [](std::span<const std::uint8_t> a, double* dst,
+                             const Dims& d, ThreadPool* pool) {
     Front::template decompress_into<double>(a, dst, d, pool);
   };
   // Partial-decode entry points are optional per Front; absence installs

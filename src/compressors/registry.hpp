@@ -43,25 +43,18 @@ struct CompressorEntry {
 
   /// Copy-free decode: writes the reconstruction straight into a
   /// caller-owned buffer of shape `expect` (throws DecodeError when the
-  /// archive's dims disagree). Used by chunked_decompress to fill slabs
-  /// of the output field without a temporary Field + copy.
-  std::function<void(std::span<const std::uint8_t>, float*, const Dims&)>
-      decompress_into_f32;
-  std::function<void(std::span<const std::uint8_t>, double*, const Dims&)>
-      decompress_into_f64;
-
-  /// Pool-threaded variant of the copy-free decode: the codec's internal
-  /// stages (cross-axis interpolation, Huffman decode) fan out over
-  /// `pool` when non-null; identical semantics otherwise. Every native
-  /// decoder already accepts the pool — these closures stop the registry
-  /// from dropping it, so the serving scheduler can give one large job
-  /// several workers.
+  /// archive's dims disagree). The codec's internal stages (level walk,
+  /// Huffman decode) fan out over `pool` when non-null and run inline
+  /// when it is nullptr; the output is the same either way. Used by
+  /// chunked_decompress to fill slabs of the output field without a
+  /// temporary Field + copy, and by the serving scheduler to give one
+  /// large job several workers.
   std::function<void(std::span<const std::uint8_t>, float*, const Dims&,
                      ThreadPool*)>
-      decompress_into_pool_f32;
+      decompress_into_f32;
   std::function<void(std::span<const std::uint8_t>, double*, const Dims&,
                      ThreadPool*)>
-      decompress_into_pool_f64;
+      decompress_into_f64;
 
   /// Whether the partial-decode entry points below do real work. Both
   /// are always callable: codecs without the capability install a
@@ -71,7 +64,7 @@ struct CompressorEntry {
   bool supports_region = false;
 
   /// Progressive preview: decode only the interpolation levels coarser
-  /// than or equal to `level`, reading just the coarse prefix of a v3
+  /// than or equal to `level`, reading just the coarse prefix of the
   /// payload, and return the decimated level-`level` grid.
   std::function<Field<float>(std::span<const std::uint8_t>, int,
                              PartialDecodeStats*)>
@@ -90,8 +83,8 @@ struct CompressorEntry {
       decompress_region_f64;
 
   /// Pool-threaded variants of the partial decodes, mirroring
-  /// decompress_into_pool_*: chunk Huffman decodes, the tile fan-out,
-  /// and the parallel level walk all run over `pool` when non-null.
+  /// decompress_into_*: chunk Huffman decodes, the tile fan-out, and the
+  /// parallel level walk all run over `pool` when non-null.
   std::function<Field<float>(std::span<const std::uint8_t>, int,
                              PartialDecodeStats*, ThreadPool*)>
       decompress_preview_pool_f32;

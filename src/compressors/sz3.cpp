@@ -164,7 +164,8 @@ struct SZ3Codec {
   template <class T>
   static void decode(const ContainerReader& in, T* out, ThreadPool* pool) {
     LoadedConfig<T> lc = load_config<T>(in);
-    std::vector<std::uint32_t> symbols = read_symbols_stage(in, pool);
+    std::vector<std::uint32_t> symbols =
+        read_symbols_stage(in, in.chunk_count(), pool);
 
     if (lc.predictor == SZ3Predictor::kInterpolation) {
       InterpEngine<T>::decode(symbols, in.dims(), lc.plan, lc.c.error_bound,
@@ -189,14 +190,7 @@ struct SZ3Codec {
       throw DecodeError("sz3: lorenzo archives only support level-1 preview");
     Field<T> out(in.dims());
     decode<T>(in, out.data(), pool);
-    if (stats) {
-      stats->payload_bytes_read =
-          in.version() == 2 ? in.stage_bytes(StageId::kSymbols).size()
-                            : in.payload_bytes_read();
-      stats->payload_bytes_total =
-          in.version() == 2 ? in.stage_bytes(StageId::kSymbols).size()
-                            : in.payload_bytes_declared();
-    }
+    record_payload_read(in, stats);
     return out;
   }
 

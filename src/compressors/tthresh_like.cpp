@@ -149,8 +149,8 @@ std::vector<double> ttm(const std::vector<double>& x, Dims& dims, int axis,
 }
 
 /// Stage policy: Tucker factors live in kConfig (they are model state,
-/// like an interpolation plan), the quantized core is the kSymbols
-/// stream, and kCorrections enforces the bound.
+/// like an interpolation plan), the quantized core is the raw payload
+/// chunk, and kCorrections enforces the bound.
 struct TTHRESHCodec {
   using Config = TTHRESHConfig;
   using Artifacts = NoArtifacts;

@@ -31,27 +31,11 @@ const auto& compress_fn(const CompressorEntry& e) {
 }
 
 template <class T>
-const auto& decompress_fn(const CompressorEntry& e) {
-  if constexpr (std::is_same_v<T, float>)
-    return e.decompress_f32;
-  else
-    return e.decompress_f64;
-}
-
-template <class T>
 const auto& decompress_into_fn(const CompressorEntry& e) {
   if constexpr (std::is_same_v<T, float>)
     return e.decompress_into_f32;
   else
     return e.decompress_into_f64;
-}
-
-template <class T>
-const auto& decompress_into_pool_fn(const CompressorEntry& e) {
-  if constexpr (std::is_same_v<T, float>)
-    return e.decompress_into_pool_f32;
-  else
-    return e.decompress_into_pool_f64;
 }
 
 /// Resolve the pool to run on: the caller's shared pool when provided,
@@ -148,7 +132,6 @@ Field<T> chunked_decompress(std::span<const std::uint8_t> archive,
   std::optional<ThreadPool> owned;
   ThreadPool* pool = resolve_pool(shared_pool, workers, owned);
   const auto& dec_into = decompress_into_fn<T>(comp);
-  const auto& dec_into_pool = decompress_into_pool_fn<T>(comp);
   // Same saturation rule as the compress side: with fewer slabs than
   // workers, let each slab's internal stages fan out over the leftover
   // workers; once slabs cover the pool, nested fan-out is pure overhead.
@@ -156,21 +139,10 @@ Field<T> chunked_decompress(std::span<const std::uint8_t> archive,
   pool->parallel_for(nchunks, [&](std::size_t c) {
     const std::size_t z0 = c * slab;
     const std::size_t thick = std::min(slab, dims.extent(0) - z0);
-    if (intra && dec_into_pool) {
-      dec_into_pool(parts[c], out.data() + z0 * plane, slab_dims(dims, thick),
-                    intra);
-      return;
-    }
-    if (dec_into) {
-      // Decode straight into the slab's final position: no per-slab
-      // temporary field and no copy. A shape mismatch throws inside.
-      dec_into(parts[c], out.data() + z0 * plane, slab_dims(dims, thick));
-      return;
-    }
-    const Field<T> dec = decompress_fn<T>(comp)(parts[c]);
-    if (dec.dims() != slab_dims(dims, thick))
-      throw DecodeError("chunk shape mismatch");
-    std::copy(dec.data(), dec.data() + dec.size(), out.data() + z0 * plane);
+    // Decode straight into the slab's final position: no per-slab
+    // temporary field and no copy. A shape mismatch throws inside.
+    dec_into(parts[c], out.data() + z0 * plane, slab_dims(dims, thick),
+             intra);
   });
   return out;
 }

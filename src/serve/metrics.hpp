@@ -2,8 +2,8 @@
 
 // Metrics surfaces for the qipd serving layer: one record per job and
 // one monotonic aggregate per service. Field meanings are documented in
-// docs/SERVING.md; bench/bench_serving.cpp serializes both into
-// BENCH_serving.json.
+// docs/SERVING.md; bench/suite's serve-mix workload reports them as its
+// serve.* findings.
 
 #include <cstddef>
 #include <cstdint>

@@ -57,8 +57,7 @@ Service::Service(const ServeOptions& opt) : opt_(opt) {
   if (opt.pool) {
     pool_ = opt.pool;
   } else {
-    owned_pool_.emplace(opt.workers, opt.cap_to_hardware,
-                        opt.continuations_jump_queue);
+    owned_pool_.emplace(opt.workers, opt.cap_to_hardware);
     pool_ = &*owned_pool_;
   }
 }
@@ -113,8 +112,6 @@ void Service::run(const std::shared_ptr<Job>& job) {
     const unsigned active =
         active_large_.fetch_add(1, std::memory_order_acq_rel) + 1;
     width = std::max(1u, pool_->size() / active);
-    if (opt_.max_intra_workers)
-      width = std::min(width, opt_.max_intra_workers);
   }
   res.metrics.intra_workers = width;
 
@@ -227,9 +224,9 @@ void Service::execute(const JobSpec& spec, unsigned width, JobResult& res) {
       const CompressorEntry& e = find_compressor_for(spec.input);
       Field<T> out(info.dims);
       if constexpr (sizeof(T) == 8)
-        e.decompress_into_pool_f64(spec.input, out.data(), info.dims, intra);
+        e.decompress_into_f64(spec.input, out.data(), info.dims, intra);
       else
-        e.decompress_into_pool_f32(spec.input, out.data(), info.dims, intra);
+        e.decompress_into_f32(spec.input, out.data(), info.dims, intra);
       field_to_bytes(out, res);
       return;
     }

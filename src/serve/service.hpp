@@ -23,7 +23,8 @@
 // format (plain container vs chunked) from its header.
 //
 // The scheduling discipline and its measured effect live in
-// docs/SERVING.md; bench/bench_serving.cpp is the load generator.
+// docs/SERVING.md; bench/suite's serve-mix workload is the load
+// generator.
 
 #include <atomic>
 #include <condition_variable>
@@ -56,17 +57,12 @@ struct ServeOptions {
   /// Pool size when the service owns its pool; 0 = hardware concurrency.
   unsigned workers = 0;
   bool cap_to_hardware = true;
-  /// Legacy strict-FIFO queue discipline when false (A/B hook for the
-  /// continuation-priority fix; see ThreadPool).
-  bool continuations_jump_queue = true;
   /// Max jobs admitted but not yet finished; further submits block or
   /// reject per `policy`.
   std::size_t queue_capacity = 64;
   AdmitPolicy policy = AdmitPolicy::kBlock;
   /// Jobs with at least this many input bytes get intra-job fan-out.
   std::size_t large_job_bytes = std::size_t{4} << 20;
-  /// Cap on one job's fan-out width (0 = pool size).
-  unsigned max_intra_workers = 0;
   /// Refuse decode jobs whose header-declared output exceeds this many
   /// bytes (allocation bomb guard for untrusted archives).
   std::size_t max_output_bytes = std::size_t{1} << 31;

@@ -28,9 +28,9 @@
 // streams. AVX-512 adds no rounding hazards over avx2: the kernels use
 // the same no-FMA double arithmetic, MXCSR-governed cvtpd rounding, and
 // i32-lane zigzag envelope (docs/PERFORMANCE.md, "exactness envelope").
-// The environment gate QIP_SIMD_FORCE_SCALAR=1 (mirroring the
-// QIP_INTERP_FORCE_GENERIC A/B pattern) disables dispatch at runtime;
-// QIP_SIMD_TIER=scalar|sse42|avx2|avx512 caps the tier for triage.
+// The environment gate QIP_SIMD_FORCE_SCALAR=1 disables dispatch at
+// runtime; QIP_SIMD_TIER=scalar|sse42|avx2|avx512 caps the tier for
+// triage.
 // Archives must be byte-identical either way — tests/test_simd.cpp
 // enforces it.
 //

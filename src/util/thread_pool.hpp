@@ -25,27 +25,23 @@ namespace qip {
 /// Worker-count policy: 0 asks for one worker per hardware thread, and
 /// by default any request is capped at the hardware thread count —
 /// oversubscribing a compute-bound pool only adds context-switch
-/// overhead (measurably so on small machines; see BENCH_pipeline.json).
-/// Pass cap_to_hardware = false for the rare caller that genuinely
-/// wants more workers than cores (e.g. tests that need a guaranteed
-/// minimum pool size to stress the queue handoff, or blocking tasks
-/// that park in submit()->get() chains).
+/// overhead on small machines. Pass cap_to_hardware = false for the
+/// rare caller that genuinely wants more workers than cores (e.g. tests
+/// that need a guaranteed minimum pool size to stress the queue
+/// handoff, or blocking tasks that park in submit()->get() chains).
 ///
 /// Queue discipline: submit() appends to the back of one FIFO, so
 /// independent jobs start in submission order. parallel_for() helper
-/// tasks are *continuations* of a job that is already running, and by
-/// default jump to the front of the queue — otherwise, under a backlog
-/// of queued jobs, a running job's fan-out would be scheduled behind
-/// every waiting job and its caller would end up draining all blocks
-/// alone (intra-job parallelism silently degrades to serial under
-/// load; the serving bench measures this as caller_drain_share, see
-/// docs/SERVING.md). Pass continuations_jump_queue = false to get the
-/// legacy strict-FIFO behavior for A/B measurement.
+/// tasks are *continuations* of a job that is already running, and
+/// jump to the front of the queue — otherwise, under a backlog of
+/// queued jobs, a running job's fan-out would be scheduled behind every
+/// waiting job and its caller would end up draining all blocks alone
+/// (intra-job parallelism silently degrades to serial under load;
+/// bench/suite reports this as pool.caller_drain_share, see
+/// docs/SERVING.md).
 class ThreadPool {
  public:
-  explicit ThreadPool(unsigned num_threads, bool cap_to_hardware = true,
-                      bool continuations_jump_queue = true)
-      : continuations_jump_queue_(continuations_jump_queue) {
+  explicit ThreadPool(unsigned num_threads, bool cap_to_hardware = true) {
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     if (num_threads == 0) num_threads = hw;
     if (cap_to_hardware) num_threads = std::min(num_threads, hw);
@@ -100,8 +96,9 @@ class ThreadPool {
 
   /// Cheap scheduling counters, for harnesses that want to see whether
   /// intra-job fan-out actually got helpers or degraded to the caller
-  /// draining every block itself (the defect continuations_jump_queue
-  /// fixes). Relaxed atomics; totals are exact once the pool is idle.
+  /// draining every block itself (the defect that front-of-queue
+  /// continuations fix). Relaxed atomics; totals are exact once the pool
+  /// is idle.
   struct SchedulerStats {
     std::uint64_t pf_blocks = 0;         ///< parallel_for blocks executed
     std::uint64_t pf_blocks_caller = 0;  ///< ...drained by the submitting thread
@@ -211,12 +208,8 @@ class ThreadPool {
     const std::size_t helpers = std::min<std::size_t>(width - 1, nblocks - 1);
     {
       std::lock_guard<std::mutex> lk(mu_);
-      for (std::size_t i = 0; i < helpers; ++i) {
-        if (continuations_jump_queue_)
-          queue_.emplace_front([drain] { drain(false); });
-        else
-          queue_.emplace_back([drain] { drain(false); });
-      }
+      for (std::size_t i = 0; i < helpers; ++i)
+        queue_.emplace_front([drain] { drain(false); });
     }
     if (helpers == 1)
       cv_.notify_one();
@@ -253,7 +246,6 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
-  const bool continuations_jump_queue_;
   std::atomic<std::uint64_t> pf_blocks_{0};
   std::atomic<std::uint64_t> pf_blocks_caller_{0};
 };

@@ -327,21 +327,7 @@ void gen_archive(const fs::path& root) {
                        "fuzz_archive/sz3_deep_huffman");
     dump_with_mutants(dir, "sz3_deep_huffman", arc);
   }
-  // Hostile: valid v2 header, bomb-sized stage-body LZB declaration
-  // (version pinned to 2 — the compat path must keep capping it).
-  {
-    qip::ByteWriter w;
-    w.put(qip::kContainerMagic);
-    w.put(std::uint8_t{2});
-    w.put(static_cast<std::uint8_t>(1));  // kSZ3
-    w.put(static_cast<std::uint8_t>(1));  // float
-    w.put_varint(3);                      // dims 8x8x8
-    for (int a = 0; a < 3; ++a) w.put_varint(8);
-    w.put_varint(std::uint64_t{1} << 50);  // LZB raw size: 1 PiB
-    w.put_varint(0);
-    dump(dir, "hostile_inner_bomb.bin", w.take());
-  }
-  // Hostile: same bomb as a v3 meta-block length declaration.
+  // Hostile: a bomb-sized v3 meta-block length declaration.
   {
     qip::ByteWriter w;
     w.put(qip::kContainerMagic);
@@ -375,27 +361,31 @@ void gen_archive(const fs::path& root) {
     w.put(static_cast<std::uint8_t>(3));
     dump(dir, "hostile_header_only.bin", w.take());
   }
-  // Hostile: duplicate stage sections inside a v2 body (pinned to
-  // version 2, the layout whose body is a single LZB block).
+  // Hostile: duplicate stage sections inside a v3 meta block, followed
+  // by a valid empty directory.
   {
-    qip::ByteWriter body;
-    body.put_varint(2);
-    body.put(static_cast<std::uint8_t>(qip::StageId::kConfig));
-    body.put_block(Bytes{1, 2, 3, 4});
-    body.put(static_cast<std::uint8_t>(qip::StageId::kConfig));
-    body.put_block(Bytes{5, 6, 7, 8});
+    qip::ByteWriter meta;
+    meta.put_varint(2);
+    meta.put(static_cast<std::uint8_t>(qip::StageId::kConfig));
+    meta.put_block(Bytes{1, 2, 3, 4});
+    meta.put(static_cast<std::uint8_t>(qip::StageId::kConfig));
+    meta.put_block(Bytes{5, 6, 7, 8});
+    qip::ByteWriter dir_w;
+    for (int i = 0; i < 4; ++i) dir_w.put_varint(0);
     qip::ByteWriter w;
     w.put(qip::kContainerMagic);
-    w.put(std::uint8_t{2});
+    w.put(qip::kContainerVersion);
     w.put(static_cast<std::uint8_t>(2));  // kQoZ
     w.put(static_cast<std::uint8_t>(2));  // double
     w.put_varint(1);
     w.put_varint(16);
-    w.put_bytes(qip::lzb_compress(body.bytes()));
+    w.put_block(qip::lzb_compress(meta.bytes()));
+    w.put_block(qip::lzb_compress(dir_w.bytes()));
     dump(dir, "hostile_dup_stage.bin", w.take());
   }
-  // A well-formed v2 archive (empty-config + symbols), so the compat
-  // parser and its mutants stay covered now that the writer seals v3.
+  // A well-formed v2 archive (empty-config + symbols). v2 is no longer
+  // read, so it and its mutants are refusal cases: every one must stop
+  // at the version gate (or earlier) with a typed error.
   {
     qip::ByteWriter body;
     body.put_varint(2);

@@ -41,12 +41,12 @@ Field<double> entry_decompress(const CompressorEntry& e,
 void entry_decompress_into(const CompressorEntry& e,
                            std::span<const std::uint8_t> a, float* dst,
                            const Dims& d) {
-  e.decompress_into_f32(a, dst, d);
+  e.decompress_into_f32(a, dst, d, nullptr);
 }
 void entry_decompress_into(const CompressorEntry& e,
                            std::span<const std::uint8_t> a, double* dst,
                            const Dims& d) {
-  e.decompress_into_f64(a, dst, d);
+  e.decompress_into_f64(a, dst, d, nullptr);
 }
 
 template <class T>

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "lossless/lzb.hpp"
@@ -187,66 +189,83 @@ TEST(Container, TruncatedBodyRejected) {
   }
 }
 
-TEST(Container, BodyBombCappedByMaxBody) {
-  // Valid v2 header, then an LZB header declaring a 1 PiB stage body
-  // (version pinned to 2: in v3 the same varint would be read as a
-  // meta-block length, a different guard).
+/// v3 archive around a caller-built meta block (written as the block's
+/// bytes, not LZB-framed here) and an empty, valid directory, so a test
+/// reaches exactly the meta-block guards.
+std::vector<std::uint8_t> v3_with_meta(CompressorId id, std::uint8_t dtype,
+                                       std::span<const std::uint8_t> meta) {
+  ByteWriter dir;
+  for (int i = 0; i < 4; ++i) dir.put_varint(0);  // no levels, no chunks
   ByteWriter w;
   w.put(kContainerMagic);
-  w.put(std::uint8_t{2});
-  w.put(static_cast<std::uint8_t>(CompressorId::kSZ3));
-  w.put(dtype_tag<float>());
-  w.put_varint(1);
-  w.put_varint(16);
-  w.put_varint(std::uint64_t{1} << 50);
-  w.put_varint(0);
-  const auto arc = w.take();
-  EXPECT_THROW(ContainerReader(arc, CompressorId::kSZ3, dtype_tag<float>(),
-                               /*max_body=*/1 << 20),
-               DecodeError);
+  w.put(kContainerVersion);
+  w.put(static_cast<std::uint8_t>(id));
+  w.put(dtype);
+  write_dims(w, Dims{16});
+  w.put_block(meta);
+  w.put_block(lzb_compress(dir.bytes()));
+  return w.take();
+}
+
+/// Require `open` to throw a DecodeError naming `what`: a test pinned
+/// to one guard must not pass on an earlier one.
+template <class F>
+void expect_decode_error(F&& open, const std::string& what) {
+  try {
+    open();
+  } catch (const DecodeError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << "threw \"" << e.what() << "\", expected \"" << what << "\"";
+    return;
+  }
+  ADD_FAILURE() << "no DecodeError; expected \"" << what << "\"";
+}
+
+TEST(Container, BodyBombCappedByMaxBody) {
+  // A meta block whose LZB header declares a 1 PiB stage body must die
+  // on the caller's body cap, not materialize the bomb.
+  ByteWriter bomb;
+  bomb.put_varint(std::uint64_t{1} << 50);
+  bomb.put_varint(0);
+  const auto arc =
+      v3_with_meta(CompressorId::kSZ3, dtype_tag<float>(), bomb.bytes());
+  expect_decode_error(
+      [&] {
+        (void)ContainerReader(arc, CompressorId::kSZ3, dtype_tag<float>(),
+                              /*max_body=*/1 << 20);
+      },
+      "lzb output exceeds limit");
 }
 
 TEST(Container, DuplicateStageRejected) {
-  // Version pinned to literal 2: the single-LZB-block body below is the
-  // v2 layout, and the duplicate-section check must keep firing on the
-  // compat path.
-  ByteWriter body;
-  body.put_varint(2);
-  body.put(static_cast<std::uint8_t>(StageId::kConfig));
-  body.put_block(bytes_of({1, 2, 3, 4}));
-  body.put(static_cast<std::uint8_t>(StageId::kConfig));
-  body.put_block(bytes_of({5, 6, 7, 8}));
-  ByteWriter w;
-  w.put(kContainerMagic);
-  w.put(std::uint8_t{2});
-  w.put(static_cast<std::uint8_t>(CompressorId::kQoZ));
-  w.put(dtype_tag<double>());
-  w.put_varint(1);
-  w.put_varint(16);
-  w.put_bytes(lzb_compress(body.bytes()));
-  const auto arc = w.take();
-  EXPECT_THROW(ContainerReader(arc, CompressorId::kQoZ, dtype_tag<double>()),
-               DecodeError);
+  ByteWriter meta;
+  meta.put_varint(2);
+  meta.put(static_cast<std::uint8_t>(StageId::kConfig));
+  meta.put_block(bytes_of({1, 2, 3, 4}));
+  meta.put(static_cast<std::uint8_t>(StageId::kConfig));
+  meta.put_block(bytes_of({5, 6, 7, 8}));
+  const auto arc = v3_with_meta(CompressorId::kQoZ, dtype_tag<double>(),
+                                lzb_compress(meta.bytes()));
+  expect_decode_error(
+      [&] {
+        (void)ContainerReader(arc, CompressorId::kQoZ, dtype_tag<double>());
+      },
+      "duplicate stage section");
 }
 
 TEST(Container, TrailingBodyBytesRejected) {
-  // v2-pinned for the same reason as DuplicateStageRejected.
-  ByteWriter body;
-  body.put_varint(1);
-  body.put(static_cast<std::uint8_t>(StageId::kConfig));
-  body.put_block(bytes_of({1, 2}));
-  body.put(0xEE);  // junk after the last section
-  ByteWriter w;
-  w.put(kContainerMagic);
-  w.put(std::uint8_t{2});
-  w.put(static_cast<std::uint8_t>(CompressorId::kQoZ));
-  w.put(dtype_tag<double>());
-  w.put_varint(1);
-  w.put_varint(16);
-  w.put_bytes(lzb_compress(body.bytes()));
-  const auto arc = w.take();
-  EXPECT_THROW(ContainerReader(arc, CompressorId::kQoZ, dtype_tag<double>()),
-               DecodeError);
+  ByteWriter meta;
+  meta.put_varint(1);
+  meta.put(static_cast<std::uint8_t>(StageId::kConfig));
+  meta.put_block(bytes_of({1, 2}));
+  meta.put(0xEE);  // junk after the last section
+  const auto arc = v3_with_meta(CompressorId::kQoZ, dtype_tag<double>(),
+                                lzb_compress(meta.bytes()));
+  expect_decode_error(
+      [&] {
+        (void)ContainerReader(arc, CompressorId::kQoZ, dtype_tag<double>());
+      },
+      "trailing bytes after stage sections");
 }
 
 TEST(Container, ZeroExtentRejected) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "compressors/registry.hpp"
 #include "core/characterize.hpp"
@@ -116,8 +118,10 @@ TEST(Integration, TruncatedArchivesThrowEverywhere) {
   }
 }
 
+// The codec name is a std::string, not a const char*: test names print
+// the parameter, and a pointer prints as its (ASLR-dependent) address.
 class EbSweepAllCompressors
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(EbSweepAllCompressors, BoundHolds) {
   const auto [name, rel] = GetParam();

@@ -4,8 +4,8 @@
 // walk partitions each pass into contiguous blocks with precomputed
 // symbol-cursor offsets, so the symbol stream, the outlier stream, the
 // reconstruction, and therefore the archive bytes are identical at
-// every worker count — and identical to the forced-sequential walk
-// (`QIP_INTERP_FORCE_SEQ=1`). The matrix covers ranks 1-4, QP on/off,
+// every worker count — and identical to the sequential walk that runs
+// when no pool is attached. The matrix covers ranks 1-4, QP on/off,
 // f32/f64, SIMD tiers, and worker counts {1, 2, 4, 7}; the pools are
 // built with cap_to_hardware=false so the sweep is meaningful on
 // single-CPU CI containers.
@@ -56,13 +56,6 @@ Field<T> wave(const Dims& dims, unsigned seed = 11) {
   return f;
 }
 
-/// RAII for the QIP_INTERP_FORCE_SEQ override: 1 = force the
-/// sequential walk, 0 = allow the parallel walk regardless of env.
-struct ForceSeqGuard {
-  explicit ForceSeqGuard(int v) { set_interp_force_seq_override(v); }
-  ~ForceSeqGuard() { set_interp_force_seq_override(-1); }
-};
-
 struct ScalarGuard {
   ScalarGuard() { simd::set_force_scalar_override(1); }
   ~ScalarGuard() { simd::set_force_scalar_override(-1); }
@@ -89,7 +82,7 @@ void expect_same_scalars(const T* a, const T* b, std::size_t n,
 }
 
 /// One cell of the matrix: encode + decode the field with every worker
-/// count and require bit-identity with the forced-sequential oracle.
+/// count and require bit-identity with the sequential (no-pool) oracle.
 template <class T>
 void engine_worker_invariance(const Dims& dims, const QPConfig& qp,
                               const LevelPlan& lp = LevelPlan{}) {
@@ -98,38 +91,19 @@ void engine_worker_invariance(const Dims& dims, const QPConfig& qp,
   const InterpPlan plan =
       InterpPlan::uniform(interpolation_level_count(dims), lp);
 
-  // Oracle: forced-sequential walk. A pool is attached so the test
-  // proves the gate (not pool absence) selects the sequential path.
+  // Oracle: the sequential walk, which runs when no pool is attached.
   Field<T> work_seq = f.clone();
   LinearQuantizer<T> quant_seq(eb);
-  std::vector<std::uint32_t> sym_seq;
-  {
-    ForceSeqGuard g(1);
-    ThreadPool pool(2, /*cap_to_hardware=*/false);
-    sym_seq = InterpEngine<T>::encode(work_seq.data(), dims, plan, eb,
-                                      quant_seq, qp, false, nullptr, nullptr,
-                                      &pool)
-                  .symbols;
-  }
+  const std::vector<std::uint32_t> sym_seq =
+      InterpEngine<T>::encode(work_seq.data(), dims, plan, eb, quant_seq, qp,
+                              false, nullptr, nullptr, /*pool=*/nullptr)
+          .symbols;
   const auto oq = quant_bytes(quant_seq);
-
-  // The no-pool walk must match the forced-seq walk exactly.
-  {
-    Field<T> w0 = f.clone();
-    LinearQuantizer<T> q0(eb);
-    const auto r0 =
-        InterpEngine<T>::encode(w0.data(), dims, plan, eb, q0, qp);
-    ASSERT_EQ(r0.symbols, sym_seq) << "no-pool encode diverged";
-    ASSERT_EQ(quant_bytes(q0), oq) << "no-pool outliers diverged";
-    expect_same_scalars(w0.data(), work_seq.data(), f.size(),
-                        "no-pool reconstruction");
-  }
 
   for (unsigned nw : kWorkerSweep) {
     SCOPED_TRACE(::testing::Message() << "rank=" << dims.rank()
                                       << " workers=" << nw
                                       << " qp=" << qp.enabled);
-    ForceSeqGuard g(0);
     ThreadPool pool(nw, /*cap_to_hardware=*/false);
 
     Field<T> wp = f.clone();
@@ -213,20 +187,11 @@ TEST(InterpParallel, SimdTiersWorkerInvariant) {
 
 template <class Compress, class Decompress>
 void archive_worker_invariance(Compress compress, Decompress decompress) {
-  std::vector<std::uint8_t> oracle;
-  {
-    ForceSeqGuard g(1);
-    ThreadPool pool(2, /*cap_to_hardware=*/false);
-    oracle = compress(&pool);
-  }
-  Field<float> ref;
-  {
-    ForceSeqGuard g(1);
-    ref = decompress(oracle, nullptr);
-  }
+  // Oracle: the sequential (no-pool) compress and decompress.
+  const std::vector<std::uint8_t> oracle = compress(nullptr);
+  const Field<float> ref = decompress(oracle, nullptr);
   for (unsigned nw : kWorkerSweep) {
     SCOPED_TRACE(::testing::Message() << "workers=" << nw);
-    ForceSeqGuard g(0);
     ThreadPool pool(nw, /*cap_to_hardware=*/false);
     EXPECT_EQ(compress(&pool), oracle) << "archive bytes diverged";
     const Field<float> dec = decompress(oracle, &pool);

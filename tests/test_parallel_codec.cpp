@@ -156,7 +156,7 @@ TEST(ParallelCodec, DecompressIntoMatchesAllocatingPath) {
     const Field<float> alloc = e.decompress_f32(arc);
     Field<float> direct(f.dims());
     ASSERT_TRUE(static_cast<bool>(e.decompress_into_f32)) << e.name;
-    e.decompress_into_f32(arc, direct.data(), f.dims());
+    e.decompress_into_f32(arc, direct.data(), f.dims(), nullptr);
     for (std::size_t i = 0; i < alloc.size(); ++i)
       ASSERT_EQ(direct[i], alloc[i]) << e.name << " index " << i;
   }
@@ -169,11 +169,13 @@ TEST(ParallelCodec, DecompressIntoRejectsShapeMismatch) {
     opt.error_bound = 1e-2;
     const auto arc = e.compress_f32(f.data(), f.dims(), opt);
     std::vector<float> buf(f.size());
-    EXPECT_THROW(e.decompress_into_f32(arc, buf.data(), Dims{16, 16, 8}),
-                 DecodeError)
+    EXPECT_THROW(
+        e.decompress_into_f32(arc, buf.data(), Dims{16, 16, 8}, nullptr),
+        DecodeError)
         << e.name;
-    EXPECT_THROW(e.decompress_into_f32(arc, buf.data(), Dims{16, 16}),
-                 DecodeError)
+    EXPECT_THROW(
+        e.decompress_into_f32(arc, buf.data(), Dims{16, 16}, nullptr),
+        DecodeError)
         << e.name;
   }
 }

@@ -1,7 +1,7 @@
 // Partial-decode tests for container v3: progressive preview must be
 // bit-identical to decimating a full decode while reading strictly
 // fewer payload bytes, region decode must be bit-identical to cropping
-// a full decode, v2 fixtures must keep opening byte-identically, and
+// a full decode, v2 archives must be refused with a typed error, and
 // the registry must expose (or refuse) the capabilities per codec.
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "compressors/sz3.hpp"
 #include "data/synthetic.hpp"
 #include "simd/dispatch.hpp"
-#include "util/field_io.hpp"
 
 namespace qip {
 namespace {
@@ -314,44 +313,39 @@ TEST(Progressive, RegionValidation) {
 }
 
 // ---------------------------------------------------------------------
-// v2 backward compatibility, pinned by committed fixtures.
+// Container v2 is no longer read: every entry point refuses a v2 header
+// with the typed UnknownCodecError that carries the offending version.
 
-std::string fixture(const char* name) {
-  return std::string(QIP_TEST_DATA_DIR) + "/" + name;
-}
+TEST(Progressive, V2ArchivesRefusedWithTypedError) {
+  const Dims dims{24, 20, 16};
+  const auto f = wave_field<float>(dims, 4);
+  SZ3Config cfg;
+  cfg.error_bound = 1e-3;
+  auto arc = sz3_compress(f.data(), dims, cfg);
+  arc[4] = 2;  // the version byte follows the 4-byte magic
 
-TEST(Progressive, V2FixturesStillOpenByteIdentically) {
-  const auto orig = read_qfld<float>(fixture("v2_fixture_orig.qfld"));
-  const struct {
-    const char* arc;
-    const char* recon;
-  } cases[] = {
-      {"v2_fixture_sz3_qp.qip", "v2_fixture_sz3_qp_recon.qfld"},
-      {"v2_fixture_mgard.qip", "v2_fixture_mgard_recon.qfld"},
+  auto expect_v2_refusal = [&](const char* what, auto&& open) {
+    try {
+      open();
+      ADD_FAILURE() << what << ": a v2 header must not open";
+    } catch (const UnknownCodecError& e) {
+      EXPECT_EQ(e.version(), 2) << what;
+      EXPECT_EQ(e.codec_id(), static_cast<std::uint8_t>(CompressorId::kSZ3))
+          << what;
+    }
   };
-  for (const auto& c : cases) {
-    std::FILE* fp = std::fopen(fixture(c.arc).c_str(), "rb");
-    ASSERT_NE(fp, nullptr) << c.arc;
-    std::fseek(fp, 0, SEEK_END);
-    std::vector<std::uint8_t> arc(static_cast<std::size_t>(std::ftell(fp)));
-    std::fseek(fp, 0, SEEK_SET);
-    ASSERT_EQ(std::fread(arc.data(), 1, arc.size(), fp), arc.size());
-    std::fclose(fp);
-
-    ASSERT_EQ(inspect_container(arc).version, 2) << c.arc;
-    const auto& entry = find_compressor_for(arc);
-    const auto dec = entry.decompress_f32(arc);
-    const auto want = read_qfld<float>(fixture(c.recon));
-    expect_identical(dec, want);
-    ASSERT_EQ(dec.dims(), orig.dims());
-
-    // v2 archives also serve the preview entry points (level 1 = full
-    // decode through the monolithic symbol stage; no byte savings).
-    PartialDecodeStats st;
-    const auto prev = entry.decompress_preview_f32(arc, 1, &st);
-    expect_identical(prev, want);
-    EXPECT_EQ(st.payload_bytes_read, st.payload_bytes_total);
-  }
+  expect_v2_refusal("inspect_container",
+                    [&] { (void)inspect_container(arc); });
+  expect_v2_refusal("find_compressor_for",
+                    [&] { (void)find_compressor_for(arc); });
+  const auto& e = find_compressor("SZ3");
+  expect_v2_refusal("decompress", [&] { (void)e.decompress_f32(arc); });
+  expect_v2_refusal("preview", [&] {
+    (void)e.decompress_preview_f32(arc, 1, nullptr);
+  });
+  expect_v2_refusal("region", [&] {
+    (void)e.decompress_region_f32(arc, Box::whole(dims), nullptr);
+  });
 }
 
 // ---------------------------------------------------------------------

@@ -59,7 +59,7 @@ TEST(ServeConcurrent, FullDecodeIsBitIdenticalAcrossThreads) {
 
   const int bad = hammer([&](int, int) {
     Field<float> out(ref.dims());
-    e.decompress_into_f32(arc, out.data(), ref.dims());
+    e.decompress_into_f32(arc, out.data(), ref.dims(), nullptr);
     return same_bytes(out, ref);
   });
   EXPECT_EQ(bad, 0);

@@ -262,44 +262,35 @@ TEST(ThreadPool, PlainSubmitsRunInFifoOrder) {
 TEST(ThreadPool, ContinuationPriorityLetsHelpersJumpABacklog) {
   // The multi-core serving defect this repo fixed: parallel_for helper
   // tasks used to be enqueued FIFO-back, behind every queued job, so
-  // under a backlog the caller drained all blocks alone. With the
-  // continuation-priority default the idle-soon worker picks the helper
+  // under a backlog the caller drained all blocks alone. Helpers are
+  // continuations and jump the queue, so the idle-soon worker picks one
   // up next and shares the blocks.
   //
   // Layout: 2 workers. Worker A is parked; worker B chews through a
   // backlog of slow jobs whose total run time far exceeds the caller's
-  // own parallel_for drain. Legacy FIFO: the helper sits behind the
-  // backlog forever -> caller executes 100% of blocks. Jump-queue: B
-  // reaches the helper after at most one job -> caller share < 100%.
-  for (const bool jump : {false, true}) {
-    ThreadPool pool(2, /*cap_to_hardware=*/false,
-                    /*continuations_jump_queue=*/jump);
-    std::promise<void> park;
-    auto parked = pool.submit([&] { park.get_future().wait(); });
-    std::vector<std::future<void>> backlog;
-    for (int i = 0; i < 20; ++i)
-      backlog.push_back(pool.submit(
-          [] { std::this_thread::sleep_for(std::chrono::milliseconds(10)); }));
+  // own parallel_for drain. B reaches the helper after at most one job,
+  // so the caller's share stays below 100%.
+  ThreadPool pool(2, /*cap_to_hardware=*/false);
+  std::promise<void> park;
+  auto parked = pool.submit([&] { park.get_future().wait(); });
+  std::vector<std::future<void>> backlog;
+  for (int i = 0; i < 20; ++i)
+    backlog.push_back(pool.submit(
+        [] { std::this_thread::sleep_for(std::chrono::milliseconds(10)); }));
 
-    pool.reset_scheduler_stats();
-    pool.parallel_for(8, [](std::size_t) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    });
-    const ThreadPool::SchedulerStats st = pool.scheduler_stats();
+  pool.reset_scheduler_stats();
+  pool.parallel_for(8, [](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  });
+  const ThreadPool::SchedulerStats st = pool.scheduler_stats();
 
-    park.set_value();
-    parked.get();
-    for (auto& f : backlog) f.get();
+  park.set_value();
+  parked.get();
+  for (auto& f : backlog) f.get();
 
-    ASSERT_GT(st.pf_blocks, 0u);
-    if (jump) {
-      // The helper must have claimed at least one block.
-      EXPECT_LT(st.pf_blocks_caller, st.pf_blocks) << "jump=" << jump;
-    } else {
-      // Legacy FIFO: caller drained everything alone.
-      EXPECT_EQ(st.pf_blocks_caller, st.pf_blocks) << "jump=" << jump;
-    }
-  }
+  ASSERT_GT(st.pf_blocks, 0u);
+  // The helper must have claimed at least one block.
+  EXPECT_LT(st.pf_blocks_caller, st.pf_blocks);
 }
 
 TEST(ThreadPool, NestedParallelForUnderSaturatedAdmissionWindow) {

@@ -12,9 +12,8 @@
 //   qipc info       -i data.qip
 //
 // Raw inputs are bare little-endian scalars (SDRBench layout) and need
-// --dims; .qfld files are self-describing. preview/extract need a
-// container-v3 archive (preview additionally needs a progressive codec;
-// extract needs one compressed with --tiles).
+// --dims; .qfld files are self-describing. preview needs a progressive
+// codec; extract needs an archive compressed with --tiles.
 
 #include <cstdio>
 #include <cstdlib>
@@ -344,10 +343,9 @@ double pct_of(std::size_t part, std::size_t total) {
                : 0.0;
 }
 
-/// Per-level payload breakdown of one container-v3 directory, with tile
+/// Per-level payload breakdown of one container directory, with tile
 /// chunk counts on the tiled levels.
 void print_payload_directory(const ContainerReader& in) {
-  if (in.version() < 3) return;
   const PayloadDirectory& dir = in.directory();
   const std::size_t total = in.payload_bytes_declared();
   if (dir.tiling.active())
@@ -379,32 +377,23 @@ void print_payload_directory(const ContainerReader& in) {
 }
 
 /// What `qipc preview`/`qipc extract` will do with THIS archive, and —
-/// when a capability is missing — why. Region decode needs all three of
-/// codec support, a v3 payload directory, and a tile directory, so the
-/// reason names the first missing ingredient.
+/// when a capability is missing — why. Region decode needs both codec
+/// support and a tile directory, so the reason names the missing one.
 void print_partial_capabilities(const ContainerReader& in,
                                 const CompressorEntry* entry) {
   const bool codec_preview = entry && entry->supports_preview;
   const bool codec_region = entry && entry->supports_region;
-  const bool v3 = in.version() >= 3;
-  const bool tiled = v3 && in.directory().tiling.active();
+  const bool tiled = in.directory().tiling.active();
 
-  if (codec_preview && v3)
+  if (codec_preview)
     std::printf("  preview: yes (per-level payload chunks)\n");
-  else if (!codec_preview)
-    std::printf("  preview: no (codec has no progressive decoder)\n");
   else
-    std::printf(
-        "  preview: no (container v%u predates the per-level payload "
-        "directory; recompress to get v3)\n",
-        static_cast<unsigned>(in.version()));
+    std::printf("  preview: no (codec has no progressive decoder)\n");
 
   if (codec_region && tiled) {
     std::printf("  region:  yes (tile directory present)\n");
   } else if (!codec_region) {
     std::printf("  region:  no (codec has no random-access region decoder)\n");
-  } else if (!v3) {
-    std::printf("  region:  no (container predates the payload directory)\n");
   } else {
     // The archive could have supported regions but was written untiled.
     // For HPEZ that is a deliberate trade: without --tiles the fine
@@ -447,11 +436,9 @@ int do_info(const Args& a) {
         const ContainerReader in(r.get_block());
         for (const auto& s : in.sections())
           stage_bytes[stage_name(s.id)] += s.size;
-        if (in.version() >= 3) {
-          payload_total += in.payload_bytes_declared();
-          for (const ChunkEntry& ce : in.directory().chunks)
-            level_bytes[ce.level] += static_cast<std::size_t>(ce.length);
-        }
+        payload_total += in.payload_bytes_declared();
+        for (const ChunkEntry& ce : in.directory().chunks)
+          level_bytes[ce.level] += static_cast<std::size_t>(ce.length);
       }
       for (const auto& [sname, size] : stage_bytes)
         std::printf("  stage %-11s %zu bytes (all slabs)\n", sname.c_str(),
