@@ -38,12 +38,7 @@ Dims read_dims(ByteReader& r) {
       throw DecodeError("extent product overflow in archive");
     total *= e[a];
   }
-  switch (rank) {
-    case 1: return Dims{e[0]};
-    case 2: return Dims{e[0], e[1]};
-    case 3: return Dims{e[0], e[1], e[2]};
-    default: return Dims{e[0], e[1], e[2], e[3]};
-  }
+  return Dims(rank, e);
 }
 
 namespace {

@@ -75,11 +75,6 @@ inline constexpr std::uint32_t kChunkedMagic = 0x50504951;  // "QIPP"
 /// Plaintext bytes before dims: magic(4) + version(1) + id(1) + dtype(1).
 inline constexpr std::size_t kContainerPrefixBytes = 7;
 
-/// Upper bound on the payload level count a directory may declare. The
-/// interpolation level count of a field is at most log2(max extent), so
-/// 64 covers every representable field; anything larger is a bomb.
-inline constexpr std::uint64_t kMaxPayloadLevels = 64;
-
 /// Compressor identifiers stored in archives. Serialized; append-only.
 enum class CompressorId : std::uint8_t {
   kSZ3 = 1,
@@ -132,6 +127,16 @@ class UnknownCodecError : public DecodeError {
   std::uint8_t codec_id_;
   std::uint8_t version_;
 };
+
+/// Refuse, before the archive is read, a request kind that `codec` does
+/// not serve; every codec serves kFull.
+inline void require_served(DecodeRequest::Kind kind, const std::string& codec,
+                           bool preview, bool region) {
+  if (kind == DecodeRequest::Kind::kPreview && !preview)
+    throw UnknownCodecError(codec + " does not support progressive preview");
+  if (kind == DecodeRequest::Kind::kRegion && !region)
+    throw UnknownCodecError(codec + " does not support region decode");
+}
 
 void write_dims(ByteWriter& w, const Dims& dims);
 

@@ -1,6 +1,6 @@
 #pragma once
 
-// The templated compress/decompress driver every codec front-end runs on,
+// The templated compress/decode driver every codec front-end runs on,
 // plus the shared stage read/write helpers of the two codec families
 // (interpolation pipelines and correction-list erasure pipelines).
 //
@@ -10,17 +10,20 @@
 //     using Config = FooConfig;           // inherits CodecOptions
 //     using Artifacts = IndexArtifacts;   // or NoArtifacts
 //     static constexpr CompressorId kId = CompressorId::kFoo;
-//     static constexpr const char* kName = "foo";
+//     static constexpr const char* kName = "Foo";
+//     static constexpr CodecTraits kTraits{.preview = true};
 //     template <class T>
 //     static void encode(const T* data, const Dims& dims, const Config&,
 //                        ContainerWriter& out, Artifacts*);
 //     template <class T>
-//     static void decode(const ContainerReader& in, T* out, ThreadPool*);
+//     static void decode(const ContainerReader& in, const DecodeRequest&,
+//                        T* out, ThreadPool*, PartialDecodeStats*);
 //   };
 //
-// and the driver owns the container framing, output allocation, and
-// dims/dtype validation for compress / decompress / decompress_into, so
-// a new codec is one policy struct plus three one-line public wrappers.
+// and the driver owns the container framing, the request checks and the
+// output shape for compress (codec_seal) and every decode (codec_decode),
+// so a new codec is one policy struct, its one-line public wrappers, and
+// codec_entry<FooCodec>() for the registry.
 
 #include <algorithm>
 #include <cmath>
@@ -34,6 +37,7 @@
 #include "compressors/core/options.hpp"
 #include "compressors/interp_engine.hpp"
 #include "compressors/plan.hpp"
+#include "compressors/registry.hpp"
 #include "core/qp.hpp"
 #include "encode/huffman.hpp"
 #include "quant/quantizer.hpp"
@@ -44,6 +48,15 @@ namespace qip {
 
 /// Artifacts type for codecs that expose none.
 struct NoArtifacts {};
+
+/// What a codec policy is, for its registry entry, and which request
+/// kinds it serves beyond DecodeRequest::Kind::kFull.
+struct CodecTraits {
+  bool interpolation = false;  ///< member of the interpolation family
+  bool qp = false;             ///< QP hook available
+  bool preview = false;        ///< serves kPreview
+  bool region = false;         ///< serves kRegion
+};
 
 /// Compress `data` through `Codec`'s encode policy into a sealed
 /// container.
@@ -56,56 +69,62 @@ template <class Codec, class T>
   return out.seal(cfg.pool);
 }
 
-/// Decompress a `Codec` container into a freshly allocated field.
+/// Decode `req` from a `Codec` archive into the caller's `out`, which
+/// must have shape req.output_dims(archive dims). A kind the policy does
+/// not serve is refused with UnknownCodecError before the archive is
+/// parsed; a wrong `out_dims` throws DecodeError.
 template <class Codec, class T>
-[[nodiscard]] Field<T> codec_open(std::span<const std::uint8_t> archive,
-                                  ThreadPool* pool = nullptr) {
+void codec_decode(std::span<const std::uint8_t> archive,
+                  const DecodeRequest& req, T* out, const Dims& out_dims,
+                  ThreadPool* pool = nullptr,
+                  PartialDecodeStats* stats = nullptr) {
+  require_served(req.kind, Codec::kName, Codec::kTraits.preview,
+                 Codec::kTraits.region);
   const ContainerReader in(archive, Codec::kId, dtype_tag<T>(),
                            ContainerReader::kNoBodyCap, pool);
-  Field<T> out(in.dims());
-  Codec::template decode<T>(in, out.data(), pool);
+  if (req.output_dims(in.dims()) != out_dims)
+    throw DecodeError(std::string(Codec::kName) +
+                      ": output dims mismatch for the decode request");
+  Codec::template decode<T>(in, req, out, pool, stats);
+}
+
+/// codec_decode into a freshly allocated field of the request's shape.
+template <class Codec, class T>
+[[nodiscard]] Field<T> codec_decode(std::span<const std::uint8_t> archive,
+                                    const DecodeRequest& req,
+                                    ThreadPool* pool = nullptr,
+                                    PartialDecodeStats* stats = nullptr) {
+  require_served(req.kind, Codec::kName, Codec::kTraits.preview,
+                 Codec::kTraits.region);
+  Field<T> out(req.output_dims(inspect_container(archive).dims));
+  codec_decode<Codec, T>(archive, req, out.data(), out.dims(), pool, stats);
   return out;
 }
 
-/// Copy-free decompress into a caller-owned buffer of shape `expect`;
-/// throws DecodeError when the archive's dims disagree.
-template <class Codec, class T>
-void codec_open_into(std::span<const std::uint8_t> archive, T* out,
-                     const Dims& expect, ThreadPool* pool = nullptr) {
-  const ContainerReader in(archive, Codec::kId, dtype_tag<T>(),
-                           ContainerReader::kNoBodyCap, pool);
-  if (in.dims() != expect)
-    throw DecodeError(std::string(Codec::kName) +
-                      ": archive dims mismatch for decompress_into");
-  Codec::template decode<T>(in, out, pool);
-}
-
-/// Decompress only the interpolation levels coarser than or equal to
-/// `level` and return the decimated level-`level` grid (extent
-/// ceil(e / 2^(level-1)) per axis). Requires a codec policy with a
-/// decode_preview member (the interpolation family).
-template <class Codec, class T>
-[[nodiscard]] Field<T> codec_open_preview(std::span<const std::uint8_t> archive,
-                                          int level,
-                                          ThreadPool* pool = nullptr,
-                                          PartialDecodeStats* stats = nullptr) {
-  const ContainerReader in(archive, Codec::kId, dtype_tag<T>(),
-                           ContainerReader::kNoBodyCap, pool);
-  return Codec::template decode_preview<T>(in, level, pool, stats);
-}
-
-/// Decompress only the sub-box [box.lo, box.hi) and return it as a field
-/// of the box's extents, reading only the tile chunks that cover it.
-/// Requires a codec policy with a decode_region member and an archive
-/// sealed with an active tile directory.
-template <class Codec, class T>
-[[nodiscard]] Field<T> codec_open_region(std::span<const std::uint8_t> archive,
-                                         const Box& box,
-                                         ThreadPool* pool = nullptr,
-                                         PartialDecodeStats* stats = nullptr) {
-  const ContainerReader in(archive, Codec::kId, dtype_tag<T>(),
-                           ContainerReader::kNoBodyCap, pool);
-  return Codec::template decode_region<T>(in, box, pool, stats);
+/// The registry entry of a codec policy: its name, id and traits, and
+/// its compress and decode per dtype. The native config starts from its
+/// own defaults and adopts the caller's common CodecOptions wholesale;
+/// codecs that ignore a field (ZFP and QP, say) never read it.
+template <class Codec>
+[[nodiscard]] CompressorEntry codec_entry() {
+  CompressorEntry e;
+  e.name = Codec::kName;
+  e.id = Codec::kId;
+  e.interpolation = Codec::kTraits.interpolation;
+  e.supports_qp = Codec::kTraits.qp;
+  e.supports_preview = Codec::kTraits.preview;
+  e.supports_region = Codec::kTraits.region;
+  auto compress = [](const auto* d, const Dims& dims,
+                     const GenericOptions& o) {
+    typename Codec::Config c;
+    static_cast<CodecOptions&>(c) = o;
+    return codec_seal<Codec>(d, dims, c);
+  };
+  e.compress_f32 = compress;
+  e.compress_f64 = compress;
+  e.decode_f32 = [](auto... a) { codec_decode<Codec, float>(a...); };
+  e.decode_f64 = [](auto... a) { codec_decode<Codec, double>(a...); };
+  return e;
 }
 
 // ---------------------------------------------------------------------------
@@ -291,22 +310,6 @@ void interp_encode_stages(ContainerWriter& out, const T* data,
   return in.directory().tiling.active() ? &in.directory().tiling : nullptr;
 }
 
-/// Decode counterpart of interp_encode_stages().
-template <class T>
-void interp_decode_stages(const ContainerReader& in, T* out,
-                          ThreadPool* pool) {
-  ByteReader h = in.stage(StageId::kConfig);
-  const InterpCommon c = load_interp_common(h);
-  const InterpPlan plan = InterpPlan::load(h);
-  LinearQuantizer<T> quant(c.error_bound);
-  quant.load(h);
-  const std::vector<std::uint32_t> symbols =
-      read_symbols_stage(in, in.chunk_count(), pool);
-  InterpEngine<T>::decode(symbols, in.dims(), plan, c.error_bound, quant,
-                          c.qp, out, archive_tiles(in), /*stop_level=*/1,
-                          pool);
-}
-
 /// Seal a complete standard interpolation archive for a fixed plan. Used
 /// directly by tuners that size-compare fully sealed candidates (HPEZ).
 template <class T>
@@ -321,141 +324,58 @@ template <class T>
   return out.seal(pool);
 }
 
-/// Report how much of the declared payload a partial decode read.
-inline void record_payload_read(const ContainerReader& in,
-                                PartialDecodeStats* stats) {
-  if (!stats) return;
-  stats->payload_bytes_read = in.payload_bytes_read();
-  stats->payload_bytes_total = in.payload_bytes_declared();
-}
-
-/// Extent of the level-`level` preview grid along an axis of extent `e`.
-inline std::size_t preview_extent(std::size_t e, int level) {
-  return (e - 1) / (std::size_t{1} << (level - 1)) + 1;
-}
-
 /// Decimate the level-`level` grid of a full-size reconstruction into
 /// its own dense field: out[c] = data[c * 2^(level-1)].
 template <class T>
 [[nodiscard]] Field<T> decimate_to_level(const T* data, const Dims& dims,
                                          int level) {
-  const std::size_t s = std::size_t{1} << (level - 1);
-  std::size_t e[kMaxRank] = {1, 1, 1, 1};
-  for (int a = 0; a < dims.rank(); ++a) e[a] = preview_extent(dims.extent(a), level);
-  Dims pd;
-  switch (dims.rank()) {
-    case 1: pd = Dims{e[0]}; break;
-    case 2: pd = Dims{e[0], e[1]}; break;
-    case 3: pd = Dims{e[0], e[1], e[2]}; break;
-    default: pd = Dims{e[0], e[1], e[2], e[3]}; break;
-  }
-  Field<T> out(pd);
-  std::array<std::size_t, kMaxRank> c{};
-  for (c[0] = 0; c[0] < e[0]; ++c[0])
-    for (c[1] = 0; c[1] < e[1]; ++c[1])
-      for (c[2] = 0; c[2] < e[2]; ++c[2])
-        for (c[3] = 0; c[3] < e[3]; ++c[3])
-          out.data()[pd.index(c[0], c[1], c[2], c[3])] =
-              data[dims.index(c[0] * s, c[1] * s, c[2] * s, c[3] * s)];
+  Field<T> out(DecodeRequest::preview(level).output_dims(dims));
+  copy_box(data, dims, {}, std::size_t{1} << (level - 1), out.data(),
+           out.dims());
   return out;
 }
 
-/// Progressive preview for the standard interpolation pipeline: decode
-/// only the payload chunks of levels >= `level` (a prefix of the chunk
-/// list) and return the decimated level-`level` grid. Bit-identical to
-/// decimating a full decode, because every grid point's value is final
-/// the moment its own level is processed.
-template <class T>
-[[nodiscard]] Field<T> interp_preview_core(const ContainerReader& in,
-                                           int level, ThreadPool* pool,
-                                           PartialDecodeStats* stats,
-                                           const InterpPlan& plan,
-                                           const InterpCommon& c,
-                                           LinearQuantizer<T>& quant) {
-  const int level_count = static_cast<int>(plan.levels.size());
-  if (level < 1 || level > level_count)
-    throw DecodeError("preview level outside the archive's level range");
-
-  const std::vector<std::uint32_t> symbols =
-      read_symbols_stage(in, level_prefix(in, level), pool);
-  Field<T> full(in.dims());
-  InterpEngine<T>::decode(symbols, in.dims(), plan, c.error_bound, quant,
-                          c.qp, full.data(), archive_tiles(in), level, pool);
-  record_payload_read(in, stats);
-  return decimate_to_level(full.data(), in.dims(), level);
-}
-
-/// interp_preview_core for the standard kConfig layout
-/// (common | plan | quantizer).
-template <class T>
-[[nodiscard]] Field<T> interp_preview_stages(const ContainerReader& in,
-                                             int level, ThreadPool* pool,
-                                             PartialDecodeStats* stats) {
-  ByteReader h = in.stage(StageId::kConfig);
-  const InterpCommon c = load_interp_common(h);
-  const InterpPlan plan = InterpPlan::load(h);
-  LinearQuantizer<T> quant(c.error_bound);
-  quant.load(h);
-  return interp_preview_core(in, level, pool, stats, plan, c, quant);
-}
-
-/// Clamp and validate a region request against the archive's dims: the
-/// box must be non-empty and inside the domain on every rank axis; axes
-/// beyond the rank are normalized to [0, 1).
-[[nodiscard]] inline Box validate_region(const Box& box, const Dims& dims) {
-  Box b = box;
-  for (int a = 0; a < kMaxRank; ++a) {
-    if (a >= dims.rank()) {
-      b.lo[a] = 0;
-      b.hi[a] = 1;
-      continue;
-    }
-    if (b.lo[a] >= b.hi[a] || b.hi[a] > dims.extent(a))
-      throw DecodeError("region outside the archive's domain");
-  }
-  return b;
-}
-
-/// Random-access region decode for the standard interpolation pipeline:
-/// decode the untiled (coarse) levels globally, then only the tile
-/// chunks that intersect `box`, and crop. Byte-identical to cropping a
-/// full decode because encode ran the same tile traversal under the
-/// same cross-tile stencil guard. Requires an active tile directory.
-template <class T>
-[[nodiscard]] Field<T> interp_region_core(const ContainerReader& in,
-                                          const Box& box, ThreadPool* pool,
-                                          PartialDecodeStats* stats,
-                                          const InterpPlan& plan,
-                                          const InterpCommon& c,
-                                          LinearQuantizer<T>& quant) {
-  const TileLayout* tiles = archive_tiles(in);
-  if (!tiles)
-    throw DecodeError(
-        "archive has no tile directory; re-compress with a tile size to "
-        "enable region decode");
+/// Run `walk(field)` on the field a request decodes into: `out` itself
+/// for a full request; otherwise a full-size scratch field, whose
+/// preview grid or region box is then copied into `out`, with the
+/// payload bytes read reported in `stats`.
+template <class T, class Walk>
+void decode_via_field(const ContainerReader& in, const DecodeRequest& req,
+                      T* out, PartialDecodeStats* stats, Walk&& walk) {
+  if (req.kind == DecodeRequest::Kind::kFull) return walk(out);
   const Dims& dims = in.dims();
-  const Box b = validate_region(box, dims);
-
-  // Coarse pass: the untiled levels are the prefix of the chunk list
-  // above the tiled band; decode them, then run the level walk globally.
-  const std::vector<ChunkEntry>& chunks = in.directory().chunks;
-  const std::size_t first_tiled = level_prefix(in, tiles->max_level + 1);
-  const std::vector<std::uint32_t> symbols =
-      read_symbols_stage(in, first_tiled, pool);
   Field<T> full(dims);
-  InterpEngine<T>::decode(symbols, dims, plan, c.error_bound, quant, c.qp,
-                          full.data(), tiles, tiles->max_level + 1, pool);
+  walk(full.data());
+  if (stats) {
+    stats->payload_bytes_read = in.payload_bytes_read();
+    stats->payload_bytes_total = in.payload_bytes_declared();
+  }
+  const bool preview = req.kind == DecodeRequest::Kind::kPreview;
+  const Box b = preview ? Box{} : validate_region(req.box, dims);
+  copy_box(full.data(), dims, b.lo,
+           preview ? std::size_t{1} << (req.level - 1) : 1, out,
+           req.output_dims(dims));
+}
 
-  // Tile pass: chunks stay in (level desc, tile asc) order — the same
-  // traversal a full decode runs. Within one level band the
-  // intersecting tiles write disjoint point sets and read only their
-  // own region plus coarser levels (already final: encode ran under the
-  // cross-tile stencil guard), so the band fans out over the pool, each
-  // chunk decoding through its own quantizer view seeked from the
-  // directory's outlier prefix sums. The barrier between bands keeps
-  // the coarse-to-fine ordering; symbol counts are validated against
-  // the tile geometry inside decode_tile.
-  const TileGrid grid(dims, tiles->tile_size);
+/// A region's tile pass: decode the tile chunks from `first_tiled` on
+/// that intersect `b` into `field`, whose untiled levels are already
+/// final. Chunks stay in (level desc, tile asc) order — the same
+/// traversal a full decode runs. Within one level band the intersecting
+/// tiles write disjoint point sets and read only their own region plus
+/// coarser levels (encode ran under the cross-tile stencil guard), so
+/// the band fans out over the pool, each chunk decoding through its own
+/// quantizer view seeked from the directory's outlier prefix sums. The
+/// barrier between bands keeps the coarse-to-fine ordering; symbol
+/// counts are validated against the tile geometry inside decode_tile.
+template <class T>
+void decode_region_tiles(const ContainerReader& in, const Box& b,
+                         std::size_t first_tiled, ThreadPool* pool,
+                         const InterpPlan& plan, const InterpCommon& c,
+                         const LinearQuantizer<T>& quant, T* field) {
+  const Dims& dims = in.dims();
+  const TileLayout& tiles = in.directory().tiling;
+  const std::vector<ChunkEntry>& chunks = in.directory().chunks;
+  const TileGrid grid(dims, tiles.tile_size);
   std::size_t band = first_tiled;
   while (band < chunks.size()) {
     std::size_t band_end = band;
@@ -479,8 +399,8 @@ template <class T>
           huffman_decode(in.chunk_bytes(i), p);
       LinearQuantizer<T> vq = LinearQuantizer<T>::view_of(quant);
       vq.set_outlier_cursor(ce.outlier_start);
-      InterpEngine<T>::decode_tile(syms, dims, plan, c.error_bound, vq,
-                                   c.qp, full.data(), *tiles, ce.level,
+      InterpEngine<T>::decode_tile(syms, dims, plan, c.error_bound, vq, c.qp,
+                                   field, tiles, ce.level,
                                    grid.box(ce.tile, dims));
     };
     if (pool && picked.size() > 1) {
@@ -492,42 +412,58 @@ template <class T>
     }
     band = band_end;
   }
-
-  record_payload_read(in, stats);
-
-  // Crop.
-  std::size_t e[kMaxRank] = {1, 1, 1, 1};
-  for (int a = 0; a < dims.rank(); ++a) e[a] = b.hi[a] - b.lo[a];
-  Dims rd;
-  switch (dims.rank()) {
-    case 1: rd = Dims{e[0]}; break;
-    case 2: rd = Dims{e[0], e[1]}; break;
-    case 3: rd = Dims{e[0], e[1], e[2]}; break;
-    default: rd = Dims{e[0], e[1], e[2], e[3]}; break;
-  }
-  Field<T> out(rd);
-  std::array<std::size_t, kMaxRank> c2{};
-  for (c2[0] = 0; c2[0] < e[0]; ++c2[0])
-    for (c2[1] = 0; c2[1] < e[1]; ++c2[1])
-      for (c2[2] = 0; c2[2] < e[2]; ++c2[2])
-        for (c2[3] = 0; c2[3] < e[3]; ++c2[3])
-          out.data()[rd.index(c2[0], c2[1], c2[2], c2[3])] =
-              full.data()[dims.index(b.lo[0] + c2[0], b.lo[1] + c2[1],
-                                     b.lo[2] + c2[2], b.lo[3] + c2[3])];
-  return out;
 }
 
-/// interp_region_core for the standard kConfig layout.
+/// The standard interpolation decode, for every request kind: walk the
+/// levels down to the request's stop level (1 for a full decode, the
+/// preview level, or the level above the tiled band for a region) from
+/// the coarse chunk prefix that holds them, then run a region's tile
+/// pass. Preview and region are bit-identical to decimating or cropping
+/// a full decode: a grid point is final once its own level is walked,
+/// and encode ran the tile traversal under the same cross-tile stencil
+/// guard.
 template <class T>
-[[nodiscard]] Field<T> interp_region_stages(const ContainerReader& in,
-                                            const Box& box, ThreadPool* pool,
-                                            PartialDecodeStats* stats) {
+void interp_decode(const ContainerReader& in, const DecodeRequest& req,
+                   T* out, ThreadPool* pool, PartialDecodeStats* stats,
+                   const InterpPlan& plan, const InterpCommon& c,
+                   LinearQuantizer<T>& quant) {
+  const TileLayout* tiles = archive_tiles(in);
+  int stop = 1;
+  if (req.kind == DecodeRequest::Kind::kPreview) {
+    if (req.level > static_cast<int>(plan.levels.size()))
+      throw DecodeError("preview level outside the archive's level range");
+    stop = req.level;
+  } else if (req.kind == DecodeRequest::Kind::kRegion) {
+    if (!tiles)
+      throw DecodeError(
+          "archive has no tile directory; re-compress with a tile size to "
+          "enable region decode");
+    stop = tiles->max_level + 1;
+  }
+  decode_via_field(in, req, out, stats, [&](T* field) {
+    const std::size_t prefix = level_prefix(in, stop);
+    const std::vector<std::uint32_t> symbols =
+        read_symbols_stage(in, prefix, pool);
+    InterpEngine<T>::decode(symbols, in.dims(), plan, c.error_bound, quant,
+                            c.qp, field, tiles, stop, pool);
+    if (req.kind == DecodeRequest::Kind::kRegion)
+      decode_region_tiles(in, validate_region(req.box, in.dims()), prefix,
+                          pool, plan, c, quant, field);
+  });
+}
+
+/// interp_decode for the standard kConfig layout
+/// (common | plan | quantizer) that interp_encode_stages() writes.
+template <class T>
+void interp_decode_stages(const ContainerReader& in, const DecodeRequest& req,
+                          T* out, ThreadPool* pool,
+                          PartialDecodeStats* stats) {
   ByteReader h = in.stage(StageId::kConfig);
   const InterpCommon c = load_interp_common(h);
   const InterpPlan plan = InterpPlan::load(h);
   LinearQuantizer<T> quant(c.error_bound);
   quant.load(h);
-  return interp_region_core(in, box, pool, stats, plan, c, quant);
+  interp_decode(in, req, out, pool, stats, plan, c, quant);
 }
 
 // ---------------------------------------------------------------------------

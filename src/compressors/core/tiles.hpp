@@ -2,7 +2,8 @@
 
 // Fixed tile grid over a field domain, shared by the container v3 tile
 // directory, the interpolation engine's tile-independent traversal, and
-// the partial-decode entry points.
+// the partial decodes — together with the DecodeRequest every decode
+// takes.
 //
 // Tiles split only the *fine* interpolation levels: a level l is tiled
 // when l <= TileLayout::max_level. The coarse levels above stay global,
@@ -45,6 +46,87 @@ struct Box {
     return b;
   }
 };
+
+/// Upper bound on the payload level count a directory may declare. The
+/// interpolation level count of a field is at most log2(max extent), so
+/// 64 covers every representable field; anything larger is a bomb.
+inline constexpr std::uint64_t kMaxPayloadLevels = 64;
+
+/// Extent of the level-`level` preview grid along an axis of extent `e`.
+inline std::size_t preview_extent(std::size_t e, int level) {
+  return (e - 1) / (std::size_t{1} << (level - 1)) + 1;
+}
+
+/// Clamp and validate a region request against the archive's dims: the
+/// box must be non-empty and inside the domain on every rank axis; axes
+/// beyond the rank are normalized to [0, 1).
+[[nodiscard]] inline Box validate_region(const Box& box, const Dims& dims) {
+  Box b = box;
+  for (int a = 0; a < kMaxRank; ++a) {
+    if (a >= dims.rank()) {
+      b.lo[a] = 0;
+      b.hi[a] = 1;
+      continue;
+    }
+    if (b.lo[a] >= b.hi[a] || b.hi[a] > dims.extent(a))
+      throw DecodeError("region outside the archive's domain");
+  }
+  return b;
+}
+
+/// One decode: the whole field, the level-`level` preview grid (the
+/// points c * 2^(level-1)), or the sub-box `box`. Every codec serves
+/// kFull; the partial kinds only where the codec declares them.
+struct DecodeRequest {
+  enum class Kind : std::uint8_t { kFull, kPreview, kRegion };
+  Kind kind = Kind::kFull;
+  int level = 1;  ///< kPreview: 1 = finest grid
+  Box box;        ///< kRegion
+
+  static DecodeRequest preview(int level) {
+    return {Kind::kPreview, level, Box{}};
+  }
+  static DecodeRequest region(const Box& box) {
+    return {Kind::kRegion, 1, box};
+  }
+
+  /// Shape of the output for a field of `field_dims`, known before
+  /// anything is allocated. Throws DecodeError on a preview level outside
+  /// [1, kMaxPayloadLevels] or a box outside the domain.
+  [[nodiscard]] Dims output_dims(const Dims& field_dims) const {
+    std::array<std::size_t, kMaxRank> e{1, 1, 1, 1};
+    for (int a = 0; a < field_dims.rank(); ++a) e[a] = field_dims.extent(a);
+    if (kind == Kind::kPreview) {
+      if (level < 1 || static_cast<std::uint64_t>(level) > kMaxPayloadLevels)
+        throw DecodeError("preview level outside the archive's level range");
+      for (int a = 0; a < field_dims.rank(); ++a)
+        e[a] = preview_extent(e[a], level);
+    } else if (kind == Kind::kRegion) {
+      const Box b = validate_region(box, field_dims);
+      for (int a = 0; a < field_dims.rank(); ++a) e[a] = b.hi[a] - b.lo[a];
+    }
+    return Dims(field_dims.rank(), e);
+  }
+};
+
+/// Copy the strided sub-grid src[lo + c * step], c < dst_dims, into the
+/// dense array `dst` of shape `dst_dims`: a crop at step 1, a level
+/// decimation from lo 0. Axes beyond the rank need lo 0.
+template <class T>
+void copy_box(const T* src, const Dims& src_dims,
+              const std::array<std::size_t, kMaxRank>& lo, std::size_t step,
+              T* dst, const Dims& dst_dims) {
+  std::array<std::size_t, kMaxRank> c{};
+  std::size_t i = 0;
+  for (c[0] = 0; c[0] < dst_dims.extent(0); ++c[0])
+    for (c[1] = 0; c[1] < dst_dims.extent(1); ++c[1])
+      for (c[2] = 0; c[2] < dst_dims.extent(2); ++c[2])
+        for (c[3] = 0; c[3] < dst_dims.extent(3); ++c[3])
+          dst[i++] = src[src_dims.index(lo[0] + c[0] * step,
+                                        lo[1] + c[1] * step,
+                                        lo[2] + c[2] * step,
+                                        lo[3] + c[3] * step)];
+}
 
 /// The fixed tile grid induced by a tile edge length over `dims`. Tile
 /// ids are lexicographic (axis 0 outermost), matching the engine's

@@ -171,7 +171,9 @@ struct HPEZCodec {
   using Config = HPEZConfig;
   using Artifacts = IndexArtifacts;
   static constexpr CompressorId kId = CompressorId::kHPEZ;
-  static constexpr const char* kName = "hpez";
+  static constexpr const char* kName = "HPEZ";
+  static constexpr CodecTraits kTraits{
+      .interpolation = true, .qp = true, .preview = true, .region = true};
 
   template <class T>
   static void encode(const T* data, const Dims& dims, const Config& cfg,
@@ -193,20 +195,9 @@ struct HPEZCodec {
   }
 
   template <class T>
-  static void decode(const ContainerReader& in, T* out, ThreadPool* pool) {
-    interp_decode_stages(in, out, pool);
-  }
-
-  template <class T>
-  static Field<T> decode_preview(const ContainerReader& in, int level,
-                                 ThreadPool* pool, PartialDecodeStats* stats) {
-    return interp_preview_stages<T>(in, level, pool, stats);
-  }
-
-  template <class T>
-  static Field<T> decode_region(const ContainerReader& in, const Box& box,
-                                ThreadPool* pool, PartialDecodeStats* stats) {
-    return interp_region_stages<T>(in, box, pool, stats);
+  static void decode(const ContainerReader& in, const DecodeRequest& req,
+                     T* out, ThreadPool* pool, PartialDecodeStats* stats) {
+    interp_decode_stages(in, req, out, pool, stats);
   }
 };
 
@@ -222,28 +213,26 @@ std::vector<std::uint8_t> hpez_compress(const T* data, const Dims& dims,
 template <class T>
 Field<T> hpez_decompress(std::span<const std::uint8_t> archive,
                          ThreadPool* pool) {
-  return codec_open<HPEZCodec, T>(archive, pool);
-}
-
-template <class T>
-void hpez_decompress_into(std::span<const std::uint8_t> archive, T* out,
-                          const Dims& expect, ThreadPool* pool) {
-  codec_open_into<HPEZCodec, T>(archive, out, expect, pool);
+  return codec_decode<HPEZCodec, T>(archive, {}, pool);
 }
 
 template <class T>
 Field<T> hpez_decompress_preview(std::span<const std::uint8_t> archive,
                                  int level, ThreadPool* pool,
                                  PartialDecodeStats* stats) {
-  return codec_open_preview<HPEZCodec, T>(archive, level, pool, stats);
+  return codec_decode<HPEZCodec, T>(archive, DecodeRequest::preview(level),
+                                    pool, stats);
 }
 
 template <class T>
 Field<T> hpez_decompress_region(std::span<const std::uint8_t> archive,
                                 const Box& box, ThreadPool* pool,
                                 PartialDecodeStats* stats) {
-  return codec_open_region<HPEZCodec, T>(archive, box, pool, stats);
+  return codec_decode<HPEZCodec, T>(archive, DecodeRequest::region(box), pool,
+                                    stats);
 }
+
+CompressorEntry hpez_entry() { return codec_entry<HPEZCodec>(); }
 
 template std::vector<std::uint8_t> hpez_compress<float>(
     const float*, const Dims&, const HPEZConfig&, IndexArtifacts*);
@@ -253,10 +242,6 @@ template Field<float> hpez_decompress<float>(std::span<const std::uint8_t>,
                                              ThreadPool*);
 template Field<double> hpez_decompress<double>(std::span<const std::uint8_t>,
                                                ThreadPool*);
-template void hpez_decompress_into<float>(std::span<const std::uint8_t>, float*,
-                                          const Dims&, ThreadPool*);
-template void hpez_decompress_into<double>(std::span<const std::uint8_t>,
-                                           double*, const Dims&, ThreadPool*);
 template Field<float> hpez_decompress_preview<float>(
     std::span<const std::uint8_t>, int, ThreadPool*, PartialDecodeStats*);
 template Field<double> hpez_decompress_preview<double>(

@@ -41,13 +41,6 @@ template <class T>
 [[nodiscard]] Field<T> hpez_decompress(std::span<const std::uint8_t> archive,
                                        ThreadPool* pool = nullptr);
 
-/// Decompress straight into caller-owned storage of shape `expect`
-/// (a dims mismatch throws DecodeError). Avoids the temporary Field +
-/// copy of the allocating overload; used by the chunked decoder.
-template <class T>
-void hpez_decompress_into(std::span<const std::uint8_t> archive, T* out,
-                          const Dims& expect, ThreadPool* pool = nullptr);
-
 /// Progressive preview: decode only the interpolation levels coarser
 /// than or equal to `level` and return the decimated level-`level` grid.
 /// HPEZ payloads are chunked per level, so this reads only the coarse
@@ -57,10 +50,10 @@ template <class T>
     std::span<const std::uint8_t> archive, int level,
     ThreadPool* pool = nullptr, PartialDecodeStats* stats = nullptr);
 
-/// Random-access region decode. HPEZ's block-wise traversal is
-/// incompatible with the tile grid, so its archives never carry a tile
-/// directory and this always throws DecodeError — it exists so the
-/// registry surface is uniform and the refusal is typed.
+/// Random-access region decode. Archives sealed with a tile size commit
+/// a tile directory (the block tuner stands down for them); untiled
+/// HPEZ archives, whose fine levels may be block-wise, throw
+/// DecodeError.
 template <class T>
 [[nodiscard]] Field<T> hpez_decompress_region(
     std::span<const std::uint8_t> archive, const Box& box,
@@ -74,12 +67,6 @@ extern template Field<float> hpez_decompress<float>(
     std::span<const std::uint8_t>, ThreadPool*);
 extern template Field<double> hpez_decompress<double>(
     std::span<const std::uint8_t>, ThreadPool*);
-extern template void hpez_decompress_into<float>(std::span<const std::uint8_t>,
-                                                 float*, const Dims&,
-                                                 ThreadPool*);
-extern template void hpez_decompress_into<double>(std::span<const std::uint8_t>,
-                                                  double*, const Dims&,
-                                                  ThreadPool*);
 extern template Field<float> hpez_decompress_preview<float>(
     std::span<const std::uint8_t>, int, ThreadPool*, PartialDecodeStats*);
 extern template Field<double> hpez_decompress_preview<double>(

@@ -125,8 +125,7 @@ void mgard_walk(const T* src, T* recon, const Dims& dims,
   quant.set_error_bound(base_eb);
 }
 
-/// The kConfig stage, parsed (shared by the full, resolution-reduced and
-/// preview decodes).
+/// The kConfig stage, parsed.
 template <class T>
 struct MGARDStream {
   InterpCommon c;
@@ -152,20 +151,15 @@ MGARDStream<T> mgard_read_header(const ContainerReader& in) {
   return s;
 }
 
-template <class T>
-MGARDStream<T> mgard_read_stream(const ContainerReader& in, ThreadPool* pool) {
-  MGARDStream<T> s = mgard_read_header<T>(in);
-  s.symbols = read_symbols_stage(in, in.chunk_count(), pool);
-  return s;
-}
-
 /// Stage policy: global hierarchical transform with an exact-bound
 /// correction pass (stored in its own kCorrections stage).
 struct MGARDCodec {
   using Config = MGARDConfig;
   using Artifacts = IndexArtifacts;
   static constexpr CompressorId kId = CompressorId::kMGARD;
-  static constexpr const char* kName = "mgard";
+  static constexpr const char* kName = "MGARD";
+  static constexpr CodecTraits kTraits{
+      .interpolation = true, .qp = true, .preview = true};
 
   template <class T>
   static void encode(const T* data, const Dims& dims, const Config& cfg,
@@ -219,45 +213,31 @@ struct MGARDCodec {
     write_corrections_stage(out, corrections);
   }
 
+  /// A preview walks the hierarchy down to its level from the coarse
+  /// chunk prefix. The exact-bound correction pass indexes the finest
+  /// grid, so for level > 1 it is skipped and a preview is bounded by the
+  /// hierarchy's per-level error budget rather than the patched worst
+  /// case — the standard progressive trade. A full decode, and a level-1
+  /// preview, apply the corrections.
   template <class T>
-  static void decode(const ContainerReader& in, T* out, ThreadPool* pool) {
-    MGARDStream<T> s = mgard_read_stream<T>(in, pool);
-    const Dims& dims = in.dims();
-    std::vector<std::uint32_t> codes(dims.size(), 0);
-    std::size_t cursor = 0;
-    mgard_walk<T, false>(out, out, dims, s.level_eb, s.c.error_bound, s.quant,
-                         s.c.qp, s.symbols, cursor, codes);
-    apply_corrections_stage(in, out, dims.size(), s.c.error_bound / 2.0,
-                            "mgard");
-  }
-
-  /// Level-`level` preview from the coarse chunk prefix. The exact-bound
-  /// correction pass indexes the finest grid, so for level > 1 it is
-  /// skipped and a preview is bounded by the hierarchy's per-level error
-  /// budget rather than the patched worst case — the standard
-  /// progressive trade. At level 1 the preview grid *is* the finest
-  /// grid, so corrections apply and the result equals a full decode.
-  template <class T>
-  static Field<T> decode_preview(const ContainerReader& in, int level,
-                                 ThreadPool* pool, PartialDecodeStats* stats) {
+  static void decode(const ContainerReader& in, const DecodeRequest& req,
+                     T* out, ThreadPool* pool, PartialDecodeStats* stats) {
     MGARDStream<T> s = mgard_read_header<T>(in);
-    const int levels = static_cast<int>(s.level_eb.size());
-    if (level < 1 || level > levels)
+    const int level = req.kind == DecodeRequest::Kind::kPreview ? req.level : 1;
+    if (level > static_cast<int>(s.level_eb.size()))
       throw DecodeError("preview level outside the archive's level range");
-    const Dims& dims = in.dims();
     s.symbols = read_symbols_stage(in, level_prefix(in, level), pool);
-
-    Field<T> full(dims);
-    std::vector<std::uint32_t> codes(dims.size(), 0);
-    std::size_t cursor = 0;
-    mgard_walk<T, false>(full.data(), full.data(), dims, s.level_eb,
-                         s.c.error_bound, s.quant, s.c.qp, s.symbols, cursor,
-                         codes, nullptr, level);
-    if (level == 1)
-      apply_corrections_stage(in, full.data(), dims.size(),
-                              s.c.error_bound / 2.0, "mgard");
-    record_payload_read(in, stats);
-    return decimate_to_level(full.data(), dims, level);
+    const Dims& dims = in.dims();
+    decode_via_field(in, req, out, stats, [&](T* field) {
+      std::vector<std::uint32_t> codes(dims.size(), 0);
+      std::size_t cursor = 0;
+      mgard_walk<T, false>(field, field, dims, s.level_eb, s.c.error_bound,
+                           s.quant, s.c.qp, s.symbols, cursor, codes, nullptr,
+                           level);
+      if (level == 1)
+        apply_corrections_stage(in, field, dims.size(),
+                                s.c.error_bound / 2.0, "mgard");
+    });
   }
 };
 
@@ -273,69 +253,19 @@ std::vector<std::uint8_t> mgard_compress(const T* data, const Dims& dims,
 template <class T>
 Field<T> mgard_decompress(std::span<const std::uint8_t> archive,
                           ThreadPool* pool) {
-  return codec_open<MGARDCodec, T>(archive, pool);
-}
-
-template <class T>
-void mgard_decompress_into(std::span<const std::uint8_t> archive, T* out,
-                           const Dims& expect, ThreadPool* pool) {
-  codec_open_into<MGARDCodec, T>(archive, out, expect, pool);
-}
-
-template <class T>
-Field<T> mgard_decompress_reduced(std::span<const std::uint8_t> archive,
-                                  int skip_levels) {
-  const ContainerReader in(archive, CompressorId::kMGARD, dtype_tag<T>());
-  MGARDStream<T> s = mgard_read_stream<T>(in, nullptr);
-  const Dims& dims = in.dims();
-  const int levels = static_cast<int>(s.level_eb.size());
-
-  const int skip = std::clamp(skip_levels, 0, levels - 1);
-  Field<T> full(dims);
-  std::vector<std::uint32_t> codes(dims.size(), 0);
-  std::size_t cursor = 0;
-  mgard_walk<T, false>(full.data(), full.data(), dims, s.level_eb,
-                       s.c.error_bound, s.quant, s.c.qp, s.symbols, cursor,
-                       codes, nullptr, 1 + skip);
-
-  // Decimate the coarse grid (stride 2^skip per axis).
-  const std::size_t stride = std::size_t{1} << skip;
-  std::size_t e[kMaxRank] = {1, 1, 1, 1};
-  for (int a = 0; a < dims.rank(); ++a)
-    e[a] = (dims.extent(a) + stride - 1) / stride;
-  Dims out_dims = [&] {
-    switch (dims.rank()) {
-      case 1: return Dims{e[0]};
-      case 2: return Dims{e[0], e[1]};
-      case 3: return Dims{e[0], e[1], e[2]};
-      default: return Dims{e[0], e[1], e[2], e[3]};
-    }
-  }();
-  Field<T> out(out_dims);
-  std::array<std::size_t, kMaxRank> c{};
-  for (c[0] = 0; c[0] < out_dims.extent(0); ++c[0])
-    for (c[1] = 0; c[1] < out_dims.extent(1); ++c[1])
-      for (c[2] = 0; c[2] < out_dims.extent(2); ++c[2])
-        for (c[3] = 0; c[3] < out_dims.extent(3); ++c[3])
-          out[out_dims.index(c[0], c[1], c[2], c[3])] =
-              full[dims.index(c[0] * stride,
-                              dims.rank() > 1 ? c[1] * stride : 0,
-                              dims.rank() > 2 ? c[2] * stride : 0,
-                              dims.rank() > 3 ? c[3] * stride : 0)];
-  return out;
+  return codec_decode<MGARDCodec, T>(archive, {}, pool);
 }
 
 template <class T>
 Field<T> mgard_decompress_preview(std::span<const std::uint8_t> archive,
                                   int level, ThreadPool* pool,
                                   PartialDecodeStats* stats) {
-  return codec_open_preview<MGARDCodec, T>(archive, level, pool, stats);
+  return codec_decode<MGARDCodec, T>(archive, DecodeRequest::preview(level),
+                                     pool, stats);
 }
 
-template Field<float> mgard_decompress_reduced<float>(
-    std::span<const std::uint8_t>, int);
-template Field<double> mgard_decompress_reduced<double>(
-    std::span<const std::uint8_t>, int);
+CompressorEntry mgard_entry() { return codec_entry<MGARDCodec>(); }
+
 template Field<float> mgard_decompress_preview<float>(
     std::span<const std::uint8_t>, int, ThreadPool*, PartialDecodeStats*);
 template Field<double> mgard_decompress_preview<double>(
@@ -349,9 +279,5 @@ template Field<float> mgard_decompress<float>(std::span<const std::uint8_t>,
                                               ThreadPool*);
 template Field<double> mgard_decompress<double>(std::span<const std::uint8_t>,
                                                 ThreadPool*);
-template void mgard_decompress_into<float>(std::span<const std::uint8_t>,
-                                           float*, const Dims&, ThreadPool*);
-template void mgard_decompress_into<double>(std::span<const std::uint8_t>,
-                                            double*, const Dims&, ThreadPool*);
 
 }  // namespace qip

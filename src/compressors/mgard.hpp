@@ -47,40 +47,20 @@ template <class T>
 [[nodiscard]] Field<T> mgard_decompress(std::span<const std::uint8_t> archive,
                                         ThreadPool* pool = nullptr);
 
-/// Decompress straight into caller-owned storage of shape `expect`
-/// (a dims mismatch throws DecodeError). Avoids the temporary Field +
-/// copy of the allocating overload; used by the chunked decoder.
-template <class T>
-void mgard_decompress_into(std::span<const std::uint8_t> archive, T* out,
-                           const Dims& expect, ThreadPool* pool = nullptr);
-
-/// Resolution reduction -- the capability that distinguishes MGARD in the
-/// paper's Table I. Decodes only interpolation levels > `skip_levels`
-/// and returns the coarse grid (stride 2^skip_levels per axis,
-/// ceil-divided extents), reading just the prefix of the coefficient
-/// stream. With skip_levels == 0 this matches mgard_decompress() except
-/// that the full-resolution correction pass is skipped, so the strict
-/// pointwise bound only applies to the skip_levels == 0 full decode.
-template <class T>
-[[nodiscard]] Field<T> mgard_decompress_reduced(std::span<const std::uint8_t> archive,
-                                  int skip_levels);
-
-/// Progressive preview — mgard_decompress_reduced on the container-v3
-/// per-level chunks: a level-`level` preview decodes only the coarse
-/// chunk prefix (`stats` reports how many payload bytes that touched)
-/// instead of the whole coefficient stream. For level > 1 the
-/// finest-grid correction pass is skipped (like the reduced decode), so
-/// the bound is the hierarchy's per-level budget, not the patched worst
-/// case; a level-1 preview applies corrections and equals a full decode.
+/// Progressive preview, the resolution reduction that distinguishes
+/// MGARD in the paper's Table I: decode only the hierarchy levels >=
+/// `level` from the coarse chunk prefix of the payload (`stats` reports
+/// how many payload bytes that touched) and return the decimated
+/// level-`level` grid (stride 2^(level-1) per axis, ceil-divided
+/// extents). For level > 1 the finest-grid correction pass is skipped,
+/// so the bound is the hierarchy's per-level budget, not the patched
+/// worst case; a level-1 preview applies corrections and equals a full
+/// decode.
 template <class T>
 [[nodiscard]] Field<T> mgard_decompress_preview(
     std::span<const std::uint8_t> archive, int level,
     ThreadPool* pool = nullptr, PartialDecodeStats* stats = nullptr);
 
-extern template Field<float> mgard_decompress_reduced<float>(
-    std::span<const std::uint8_t>, int);
-extern template Field<double> mgard_decompress_reduced<double>(
-    std::span<const std::uint8_t>, int);
 extern template Field<float> mgard_decompress_preview<float>(
     std::span<const std::uint8_t>, int, ThreadPool*, PartialDecodeStats*);
 extern template Field<double> mgard_decompress_preview<double>(
@@ -94,10 +74,5 @@ extern template Field<float> mgard_decompress<float>(
     std::span<const std::uint8_t>, ThreadPool*);
 extern template Field<double> mgard_decompress<double>(
     std::span<const std::uint8_t>, ThreadPool*);
-extern template void mgard_decompress_into<float>(std::span<const std::uint8_t>,
-                                                  float*, const Dims&,
-                                                  ThreadPool*);
-extern template void mgard_decompress_into<double>(
-    std::span<const std::uint8_t>, double*, const Dims&, ThreadPool*);
 
 }  // namespace qip

@@ -35,7 +35,9 @@ struct QoZCodec {
   using Config = QoZConfig;
   using Artifacts = IndexArtifacts;
   static constexpr CompressorId kId = CompressorId::kQoZ;
-  static constexpr const char* kName = "qoz";
+  static constexpr const char* kName = "QoZ";
+  static constexpr CodecTraits kTraits{
+      .interpolation = true, .qp = true, .preview = true, .region = true};
 
   template <class T>
   static void encode(const T* data, const Dims& dims, const Config& cfg,
@@ -82,20 +84,9 @@ struct QoZCodec {
   }
 
   template <class T>
-  static void decode(const ContainerReader& in, T* out, ThreadPool* pool) {
-    interp_decode_stages(in, out, pool);
-  }
-
-  template <class T>
-  static Field<T> decode_preview(const ContainerReader& in, int level,
-                                 ThreadPool* pool, PartialDecodeStats* stats) {
-    return interp_preview_stages<T>(in, level, pool, stats);
-  }
-
-  template <class T>
-  static Field<T> decode_region(const ContainerReader& in, const Box& box,
-                                ThreadPool* pool, PartialDecodeStats* stats) {
-    return interp_region_stages<T>(in, box, pool, stats);
+  static void decode(const ContainerReader& in, const DecodeRequest& req,
+                     T* out, ThreadPool* pool, PartialDecodeStats* stats) {
+    interp_decode_stages(in, req, out, pool, stats);
   }
 };
 
@@ -111,28 +102,26 @@ std::vector<std::uint8_t> qoz_compress(const T* data, const Dims& dims,
 template <class T>
 Field<T> qoz_decompress(std::span<const std::uint8_t> archive,
                         ThreadPool* pool) {
-  return codec_open<QoZCodec, T>(archive, pool);
-}
-
-template <class T>
-void qoz_decompress_into(std::span<const std::uint8_t> archive, T* out,
-                         const Dims& expect, ThreadPool* pool) {
-  codec_open_into<QoZCodec, T>(archive, out, expect, pool);
+  return codec_decode<QoZCodec, T>(archive, {}, pool);
 }
 
 template <class T>
 Field<T> qoz_decompress_preview(std::span<const std::uint8_t> archive,
                                 int level, ThreadPool* pool,
                                 PartialDecodeStats* stats) {
-  return codec_open_preview<QoZCodec, T>(archive, level, pool, stats);
+  return codec_decode<QoZCodec, T>(archive, DecodeRequest::preview(level),
+                                   pool, stats);
 }
 
 template <class T>
 Field<T> qoz_decompress_region(std::span<const std::uint8_t> archive,
                                const Box& box, ThreadPool* pool,
                                PartialDecodeStats* stats) {
-  return codec_open_region<QoZCodec, T>(archive, box, pool, stats);
+  return codec_decode<QoZCodec, T>(archive, DecodeRequest::region(box), pool,
+                                   stats);
 }
+
+CompressorEntry qoz_entry() { return codec_entry<QoZCodec>(); }
 
 template std::vector<std::uint8_t> qoz_compress<float>(
     const float*, const Dims&, const QoZConfig&, IndexArtifacts*);
@@ -142,10 +131,6 @@ template Field<float> qoz_decompress<float>(std::span<const std::uint8_t>,
                                             ThreadPool*);
 template Field<double> qoz_decompress<double>(std::span<const std::uint8_t>,
                                               ThreadPool*);
-template void qoz_decompress_into<float>(std::span<const std::uint8_t>, float*,
-                                         const Dims&, ThreadPool*);
-template void qoz_decompress_into<double>(std::span<const std::uint8_t>,
-                                          double*, const Dims&, ThreadPool*);
 template Field<float> qoz_decompress_preview<float>(
     std::span<const std::uint8_t>, int, ThreadPool*, PartialDecodeStats*);
 template Field<double> qoz_decompress_preview<double>(

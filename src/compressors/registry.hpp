@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "compressors/core/container.hpp"
@@ -25,79 +26,86 @@ class ThreadPool;
 /// which embed the same fields by inheriting CodecOptions.
 using GenericOptions = CodecOptions;
 
-/// One registered compressor.
+/// One registered compressor: compress and decode per dtype, built by
+/// the codec's own translation unit from its policy (codec_entry in
+/// core/driver.hpp).
 struct CompressorEntry {
   std::string name;     ///< "MGARD", "SZ3", "QoZ", "HPEZ", "ZFP", ...
   CompressorId id{};    ///< the id its archives carry
-  bool interpolation;   ///< member of the interpolation family
-  bool supports_qp;     ///< QP hook available (the four base compressors)
+  bool interpolation = false;  ///< member of the interpolation family
+  bool supports_qp = false;    ///< QP hook available (the four base codecs)
+  /// Request kinds served beyond kFull. Decoding any other kind throws
+  /// UnknownCodecError before the archive is read.
+  bool supports_preview = false;
+  bool supports_region = false;
 
   std::function<std::vector<std::uint8_t>(const float*, const Dims&,
                                           const GenericOptions&)>
       compress_f32;
-  std::function<Field<float>(std::span<const std::uint8_t>)> decompress_f32;
   std::function<std::vector<std::uint8_t>(const double*, const Dims&,
                                           const GenericOptions&)>
       compress_f64;
-  std::function<Field<double>(std::span<const std::uint8_t>)> decompress_f64;
 
-  /// Copy-free decode: writes the reconstruction straight into a
-  /// caller-owned buffer of shape `expect` (throws DecodeError when the
-  /// archive's dims disagree). The codec's internal stages (level walk,
-  /// Huffman decode) fan out over `pool` when non-null and run inline
-  /// when it is nullptr; the output is the same either way. Used by
-  /// chunked_decompress to fill slabs of the output field without a
-  /// temporary Field + copy, and by the serving scheduler to give one
-  /// large job several workers.
-  std::function<void(std::span<const std::uint8_t>, float*, const Dims&,
-                     ThreadPool*)>
-      decompress_into_f32;
-  std::function<void(std::span<const std::uint8_t>, double*, const Dims&,
-                     ThreadPool*)>
-      decompress_into_f64;
+  /// Decode `req` into the caller's `out`, whose shape `out_dims` must be
+  /// req.output_dims(archive dims) (DecodeError otherwise). The codec's
+  /// stages fan out over `pool` when non-null and run inline when it is
+  /// nullptr; the output is the same either way. Preview and region
+  /// decodes report the payload they read into `stats` when non-null.
+  std::function<void(std::span<const std::uint8_t>, const DecodeRequest&,
+                     float*, const Dims&, ThreadPool*, PartialDecodeStats*)>
+      decode_f32;
+  std::function<void(std::span<const std::uint8_t>, const DecodeRequest&,
+                     double*, const Dims&, ThreadPool*, PartialDecodeStats*)>
+      decode_f64;
 
-  /// Whether the partial-decode entry points below do real work. Both
-  /// are always callable: codecs without the capability install a
-  /// closure that throws UnknownCodecError, so callers that don't check
-  /// first still get a typed refusal instead of a null std::function.
-  bool supports_preview = false;
-  bool supports_region = false;
+  /// decode_f32/_f64 into a field shaped from the archive header.
+  template <class T>
+  [[nodiscard]] Field<T> decode(std::span<const std::uint8_t> archive,
+                                const DecodeRequest& req,
+                                ThreadPool* pool = nullptr,
+                                PartialDecodeStats* stats = nullptr) const {
+    require_served(req.kind, name, supports_preview, supports_region);
+    Field<T> out(req.output_dims(inspect_container(archive).dims));
+    if constexpr (std::is_same_v<T, float>)
+      decode_f32(archive, req, out.data(), out.dims(), pool, stats);
+    else
+      decode_f64(archive, req, out.data(), out.dims(), pool, stats);
+    return out;
+  }
 
-  /// Progressive preview: decode only the interpolation levels coarser
-  /// than or equal to `level`, reading just the coarse prefix of the
-  /// payload, and return the decimated level-`level` grid.
-  std::function<Field<float>(std::span<const std::uint8_t>, int,
-                             PartialDecodeStats*)>
-      decompress_preview_f32;
-  std::function<Field<double>(std::span<const std::uint8_t>, int,
-                              PartialDecodeStats*)>
-      decompress_preview_f64;
-
-  /// Random-access region decode from the tile directory. Requires an
-  /// archive sealed with tile_size > 0 (DecodeError otherwise).
-  std::function<Field<float>(std::span<const std::uint8_t>, const Box&,
-                             PartialDecodeStats*)>
-      decompress_region_f32;
-  std::function<Field<double>(std::span<const std::uint8_t>, const Box&,
-                              PartialDecodeStats*)>
-      decompress_region_f64;
-
-  /// Pool-threaded variants of the partial decodes, mirroring
-  /// decompress_into_*: chunk Huffman decodes, the tile fan-out, and the
-  /// parallel level walk all run over `pool` when non-null.
-  std::function<Field<float>(std::span<const std::uint8_t>, int,
-                             PartialDecodeStats*, ThreadPool*)>
-      decompress_preview_pool_f32;
-  std::function<Field<double>(std::span<const std::uint8_t>, int,
-                              PartialDecodeStats*, ThreadPool*)>
-      decompress_preview_pool_f64;
-  std::function<Field<float>(std::span<const std::uint8_t>, const Box&,
-                             PartialDecodeStats*, ThreadPool*)>
-      decompress_region_pool_f32;
-  std::function<Field<double>(std::span<const std::uint8_t>, const Box&,
-                              PartialDecodeStats*, ThreadPool*)>
-      decompress_region_pool_f64;
+  [[nodiscard]] Field<float> decompress_f32(
+      std::span<const std::uint8_t> archive, ThreadPool* pool = nullptr) const {
+    return decode<float>(archive, {}, pool);
+  }
+  [[nodiscard]] Field<double> decompress_f64(
+      std::span<const std::uint8_t> archive, ThreadPool* pool = nullptr) const {
+    return decode<double>(archive, {}, pool);
+  }
+  /// Progressive preview: the decimated level-`level` grid, decoded from
+  /// the coarse prefix of the payload.
+  [[nodiscard]] Field<float> decompress_preview_f32(
+      std::span<const std::uint8_t> archive, int level,
+      PartialDecodeStats* stats, ThreadPool* pool = nullptr) const {
+    return decode<float>(archive, DecodeRequest::preview(level), pool, stats);
+  }
+  /// Random-access region decode from the tile directory; DecodeError
+  /// for an archive sealed without a tile size.
+  [[nodiscard]] Field<float> decompress_region_f32(
+      std::span<const std::uint8_t> archive, const Box& box,
+      PartialDecodeStats* stats, ThreadPool* pool = nullptr) const {
+    return decode<float>(archive, DecodeRequest::region(box), pool, stats);
+  }
 };
+
+/// Each codec's entry, built in the codec's own translation unit from its
+/// policy; compressor_registry() lists them.
+CompressorEntry mgard_entry();
+CompressorEntry sz3_entry();
+CompressorEntry qoz_entry();
+CompressorEntry hpez_entry();
+CompressorEntry zfp_entry();
+CompressorEntry tthresh_entry();
+CompressorEntry sperr_entry();
 
 /// All compressors, in the paper's Table IV order:
 /// MGARD, SZ3, QoZ, HPEZ, ZFP, TTHRESH, SPERR.

@@ -224,7 +224,8 @@ struct SPERRCodec {
   using Config = SPERRConfig;
   using Artifacts = NoArtifacts;
   static constexpr CompressorId kId = CompressorId::kSPERR;
-  static constexpr const char* kName = "sperr";
+  static constexpr const char* kName = "SPERR";
+  static constexpr CodecTraits kTraits{};
 
   template <class T>
   static void encode(const T* data, const Dims& dims, const Config& cfg,
@@ -269,7 +270,8 @@ struct SPERRCodec {
   }
 
   template <class T>
-  static void decode(const ContainerReader& in, T* out, ThreadPool*) {
+  static void decode(const ContainerReader& in, const DecodeRequest&, T* out,
+                     ThreadPool*, PartialDecodeStats*) {
     ByteReader h = in.stage(StageId::kConfig);
     const double eb = h.get<double>();
     const int levels = h.get<std::int32_t>();
@@ -308,14 +310,10 @@ std::vector<std::uint8_t> sperr_compress(const T* data, const Dims& dims,
 template <class T>
 Field<T> sperr_decompress(std::span<const std::uint8_t> archive,
                           ThreadPool* pool) {
-  return codec_open<SPERRCodec, T>(archive, pool);
+  return codec_decode<SPERRCodec, T>(archive, {}, pool);
 }
 
-template <class T>
-void sperr_decompress_into(std::span<const std::uint8_t> archive, T* out,
-                           const Dims& expect, ThreadPool* pool) {
-  codec_open_into<SPERRCodec, T>(archive, out, expect, pool);
-}
+CompressorEntry sperr_entry() { return codec_entry<SPERRCodec>(); }
 
 template std::vector<std::uint8_t> sperr_compress<float>(const float*,
                                                          const Dims&,
@@ -327,9 +325,5 @@ template Field<float> sperr_decompress<float>(std::span<const std::uint8_t>,
                                               ThreadPool*);
 template Field<double> sperr_decompress<double>(std::span<const std::uint8_t>,
                                                 ThreadPool*);
-template void sperr_decompress_into<float>(std::span<const std::uint8_t>,
-                                           float*, const Dims&, ThreadPool*);
-template void sperr_decompress_into<double>(std::span<const std::uint8_t>,
-                                            double*, const Dims&, ThreadPool*);
 
 }  // namespace qip

@@ -41,13 +41,6 @@ template <class T>
 [[nodiscard]] Field<T> sperr_decompress(std::span<const std::uint8_t> archive,
                                         ThreadPool* pool = nullptr);
 
-/// Decompress straight into caller-owned storage of shape `expect`
-/// (a dims mismatch throws DecodeError). Avoids the temporary Field +
-/// copy of the allocating overload; used by the chunked decoder.
-template <class T>
-void sperr_decompress_into(std::span<const std::uint8_t> archive, T* out,
-                           const Dims& expect, ThreadPool* pool = nullptr);
-
 extern template std::vector<std::uint8_t> sperr_compress<float>(
     const float*, const Dims&, const SPERRConfig&);
 extern template std::vector<std::uint8_t> sperr_compress<double>(
@@ -56,10 +49,5 @@ extern template Field<float> sperr_decompress<float>(
     std::span<const std::uint8_t>, ThreadPool*);
 extern template Field<double> sperr_decompress<double>(
     std::span<const std::uint8_t>, ThreadPool*);
-extern template void sperr_decompress_into<float>(std::span<const std::uint8_t>,
-                                                  float*, const Dims&,
-                                                  ThreadPool*);
-extern template void sperr_decompress_into<double>(
-    std::span<const std::uint8_t>, double*, const Dims&, ThreadPool*);
 
 }  // namespace qip

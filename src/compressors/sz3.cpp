@@ -5,39 +5,11 @@
 
 #include "compressors/core/driver.hpp"
 #include "compressors/lorenzo_path.hpp"
+#include "compressors/tuning.hpp"
 #include "predict/multilevel.hpp"
 
 namespace qip {
 namespace {
-
-/// Extract a centered sub-box (up to `edge` per axis) for predictor
-/// selection sampling.
-template <class T>
-Field<T> sample_box(const T* data, const Dims& dims, std::size_t edge) {
-  std::array<std::size_t, kMaxRank> ext{1, 1, 1, 1}, lo{0, 0, 0, 0};
-  for (int a = 0; a < dims.rank(); ++a) {
-    ext[a] = std::min(dims.extent(a), edge);
-    lo[a] = (dims.extent(a) - ext[a]) / 2;
-  }
-  Dims sub = [&] {
-    switch (dims.rank()) {
-      case 1: return Dims{ext[0]};
-      case 2: return Dims{ext[0], ext[1]};
-      case 3: return Dims{ext[0], ext[1], ext[2]};
-      default: return Dims{ext[0], ext[1], ext[2], ext[3]};
-    }
-  }();
-  Field<T> out(sub);
-  std::array<std::size_t, kMaxRank> c{};
-  for (c[0] = 0; c[0] < ext[0]; ++c[0])
-    for (c[1] = 0; c[1] < ext[1]; ++c[1])
-      for (c[2] = 0; c[2] < ext[2]; ++c[2])
-        for (c[3] = 0; c[3] < ext[3]; ++c[3])
-          out[sub.index(c[0], c[1], c[2], c[3])] =
-              data[dims.index(lo[0] + c[0], lo[1] + c[1], lo[2] + c[2],
-                              lo[3] + c[3])];
-  return out;
-}
 
 /// Estimated archive bits for a symbol stream + outliers.
 template <class T>
@@ -54,7 +26,7 @@ SZ3Predictor select_predictor(const T* data, const Dims& dims,
                               const SZ3Config& cfg, const InterpPlan& plan_tmpl) {
   if (!cfg.auto_fallback) return SZ3Predictor::kInterpolation;
 
-  Field<T> box_i = sample_box(data, dims, 64);
+  Field<T> box_i = centered_sample_box(data, dims, 64);
   const Dims& sd = box_i.dims();
   Field<T> box_l = box_i.clone();
 
@@ -85,7 +57,9 @@ struct SZ3Codec {
   using Config = SZ3Config;
   using Artifacts = SZ3Artifacts;
   static constexpr CompressorId kId = CompressorId::kSZ3;
-  static constexpr const char* kName = "sz3";
+  static constexpr const char* kName = "SZ3";
+  static constexpr CodecTraits kTraits{
+      .interpolation = true, .qp = true, .preview = true, .region = true};
 
   template <class T>
   static void encode(const T* data, const Dims& dims, const Config& cfg,
@@ -161,48 +135,27 @@ struct SZ3Codec {
     return lc;
   }
 
+  /// Lorenzo archives have no level structure: a level-1 preview is the
+  /// full decode, and there is no coarser level or tile directory.
   template <class T>
-  static void decode(const ContainerReader& in, T* out, ThreadPool* pool) {
-    LoadedConfig<T> lc = load_config<T>(in);
-    std::vector<std::uint32_t> symbols =
-        read_symbols_stage(in, in.chunk_count(), pool);
-
-    if (lc.predictor == SZ3Predictor::kInterpolation) {
-      InterpEngine<T>::decode(symbols, in.dims(), lc.plan, lc.c.error_bound,
-                              lc.quant, lc.c.qp, out, archive_tiles(in),
-                              /*stop_level=*/1, pool);
-    } else {
-      std::size_t cur = 0;
-      lorenzo_walk<T, false>(out, in.dims(), lc.quant, symbols, cur);
-    }
-  }
-
-  template <class T>
-  static Field<T> decode_preview(const ContainerReader& in, int level,
-                                 ThreadPool* pool, PartialDecodeStats* stats) {
+  static void decode(const ContainerReader& in, const DecodeRequest& req,
+                     T* out, ThreadPool* pool, PartialDecodeStats* stats) {
     LoadedConfig<T> lc = load_config<T>(in);
     if (lc.predictor == SZ3Predictor::kInterpolation)
-      return interp_preview_core(in, level, pool, stats, lc.plan, lc.c,
-                                 lc.quant);
-    // The Lorenzo scan has no level structure: level 1 is simply the
-    // full decode, anything coarser does not exist in the stream.
-    if (level != 1)
-      throw DecodeError("sz3: lorenzo archives only support level-1 preview");
-    Field<T> out(in.dims());
-    decode<T>(in, out.data(), pool);
-    record_payload_read(in, stats);
-    return out;
-  }
-
-  template <class T>
-  static Field<T> decode_region(const ContainerReader& in, const Box& box,
-                                ThreadPool* pool, PartialDecodeStats* stats) {
-    LoadedConfig<T> lc = load_config<T>(in);
-    if (lc.predictor != SZ3Predictor::kInterpolation)
+      return interp_decode(in, req, out, pool, stats, lc.plan, lc.c,
+                           lc.quant);
+    if (req.kind == DecodeRequest::Kind::kRegion)
       throw DecodeError(
           "sz3: lorenzo archives have no tile directory; region decode "
           "requires the interpolation path with a tile size");
-    return interp_region_core(in, box, pool, stats, lc.plan, lc.c, lc.quant);
+    if (req.kind == DecodeRequest::Kind::kPreview && req.level != 1)
+      throw DecodeError("sz3: lorenzo archives only support level-1 preview");
+    decode_via_field(in, req, out, stats, [&](T* field) {
+      std::vector<std::uint32_t> symbols =
+          read_symbols_stage(in, in.chunk_count(), pool);
+      std::size_t cur = 0;
+      lorenzo_walk<T, false>(field, in.dims(), lc.quant, symbols, cur);
+    });
   }
 };
 
@@ -218,28 +171,26 @@ std::vector<std::uint8_t> sz3_compress(const T* data, const Dims& dims,
 template <class T>
 Field<T> sz3_decompress(std::span<const std::uint8_t> archive,
                         ThreadPool* pool) {
-  return codec_open<SZ3Codec, T>(archive, pool);
-}
-
-template <class T>
-void sz3_decompress_into(std::span<const std::uint8_t> archive, T* out,
-                         const Dims& expect, ThreadPool* pool) {
-  codec_open_into<SZ3Codec, T>(archive, out, expect, pool);
+  return codec_decode<SZ3Codec, T>(archive, {}, pool);
 }
 
 template <class T>
 Field<T> sz3_decompress_preview(std::span<const std::uint8_t> archive,
                                 int level, ThreadPool* pool,
                                 PartialDecodeStats* stats) {
-  return codec_open_preview<SZ3Codec, T>(archive, level, pool, stats);
+  return codec_decode<SZ3Codec, T>(archive, DecodeRequest::preview(level),
+                                   pool, stats);
 }
 
 template <class T>
 Field<T> sz3_decompress_region(std::span<const std::uint8_t> archive,
                                const Box& box, ThreadPool* pool,
                                PartialDecodeStats* stats) {
-  return codec_open_region<SZ3Codec, T>(archive, box, pool, stats);
+  return codec_decode<SZ3Codec, T>(archive, DecodeRequest::region(box), pool,
+                                   stats);
 }
+
+CompressorEntry sz3_entry() { return codec_entry<SZ3Codec>(); }
 
 template std::vector<std::uint8_t> sz3_compress<float>(const float*, const Dims&,
                                                        const SZ3Config&,
@@ -252,10 +203,6 @@ template Field<float> sz3_decompress<float>(std::span<const std::uint8_t>,
                                             ThreadPool*);
 template Field<double> sz3_decompress<double>(std::span<const std::uint8_t>,
                                               ThreadPool*);
-template void sz3_decompress_into<float>(std::span<const std::uint8_t>, float*,
-                                         const Dims&, ThreadPool*);
-template void sz3_decompress_into<double>(std::span<const std::uint8_t>,
-                                          double*, const Dims&, ThreadPool*);
 template Field<float> sz3_decompress_preview<float>(
     std::span<const std::uint8_t>, int, ThreadPool*, PartialDecodeStats*);
 template Field<double> sz3_decompress_preview<double>(

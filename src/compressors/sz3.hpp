@@ -48,13 +48,6 @@ template <class T>
 [[nodiscard]] Field<T> sz3_decompress(std::span<const std::uint8_t> archive,
                                       ThreadPool* pool = nullptr);
 
-/// Decompress straight into caller-owned storage of shape `expect`
-/// (a dims mismatch throws DecodeError). Avoids the temporary Field +
-/// copy of the allocating overload; used by the chunked decoder.
-template <class T>
-void sz3_decompress_into(std::span<const std::uint8_t> archive, T* out,
-                         const Dims& expect, ThreadPool* pool = nullptr);
-
 /// Progressive preview: decode only the interpolation levels coarser
 /// than or equal to `level` and return the decimated level-`level` grid.
 /// On v3 archives this reads only the coarse prefix of the payload
@@ -82,12 +75,6 @@ extern template Field<float> sz3_decompress<float>(
     std::span<const std::uint8_t>, ThreadPool*);
 extern template Field<double> sz3_decompress<double>(
     std::span<const std::uint8_t>, ThreadPool*);
-extern template void sz3_decompress_into<float>(std::span<const std::uint8_t>,
-                                                float*, const Dims&,
-                                                ThreadPool*);
-extern template void sz3_decompress_into<double>(std::span<const std::uint8_t>,
-                                                 double*, const Dims&,
-                                                 ThreadPool*);
 extern template Field<float> sz3_decompress_preview<float>(
     std::span<const std::uint8_t>, int, ThreadPool*, PartialDecodeStats*);
 extern template Field<double> sz3_decompress_preview<double>(

@@ -56,12 +56,7 @@ Dims with_extent(const Dims& d, int axis, std::size_t e) {
   std::size_t x[kMaxRank] = {d.extent(0), d.extent(1), d.extent(2),
                              d.extent(3)};
   x[axis] = e;
-  switch (d.rank()) {
-    case 1: return Dims{x[0]};
-    case 2: return Dims{x[0], x[1]};
-    case 3: return Dims{x[0], x[1], x[2]};
-    default: return Dims{x[0], x[1], x[2], x[3]};
-  }
+  return Dims(d.rank(), x);
 }
 
 /// Iterate all lines along `axis`: fn(base_offset, stride).
@@ -155,7 +150,8 @@ struct TTHRESHCodec {
   using Config = TTHRESHConfig;
   using Artifacts = NoArtifacts;
   static constexpr CompressorId kId = CompressorId::kTTHRESH;
-  static constexpr const char* kName = "tthresh";
+  static constexpr const char* kName = "TTHRESH";
+  static constexpr CodecTraits kTraits{};
 
   template <class T>
   static void encode(const T* data, const Dims& dims, const Config& cfg,
@@ -250,7 +246,8 @@ struct TTHRESHCodec {
   }
 
   template <class T>
-  static void decode(const ContainerReader& in, T* out, ThreadPool*) {
+  static void decode(const ContainerReader& in, const DecodeRequest&, T* out,
+                     ThreadPool*, PartialDecodeStats*) {
     ByteReader h = in.stage(StageId::kConfig);
     const Dims& dims = in.dims();
     const double eb = h.get<double>();
@@ -318,14 +315,10 @@ std::vector<std::uint8_t> tthresh_compress(const T* data, const Dims& dims,
 template <class T>
 Field<T> tthresh_decompress(std::span<const std::uint8_t> archive,
                             ThreadPool* pool) {
-  return codec_open<TTHRESHCodec, T>(archive, pool);
+  return codec_decode<TTHRESHCodec, T>(archive, {}, pool);
 }
 
-template <class T>
-void tthresh_decompress_into(std::span<const std::uint8_t> archive, T* out,
-                             const Dims& expect, ThreadPool* pool) {
-  codec_open_into<TTHRESHCodec, T>(archive, out, expect, pool);
-}
+CompressorEntry tthresh_entry() { return codec_entry<TTHRESHCodec>(); }
 
 template std::vector<std::uint8_t> tthresh_compress<float>(
     const float*, const Dims&, const TTHRESHConfig&);
@@ -335,10 +328,5 @@ template Field<float> tthresh_decompress<float>(std::span<const std::uint8_t>,
                                                 ThreadPool*);
 template Field<double> tthresh_decompress<double>(
     std::span<const std::uint8_t>, ThreadPool*);
-template void tthresh_decompress_into<float>(std::span<const std::uint8_t>,
-                                             float*, const Dims&, ThreadPool*);
-template void tthresh_decompress_into<double>(std::span<const std::uint8_t>,
-                                              double*, const Dims&,
-                                              ThreadPool*);
 
 }  // namespace qip

@@ -36,23 +36,8 @@ Field<T> centered_sample_box(const T* data, const Dims& dims,
     ext[a] = std::min(dims.extent(a), edge);
     lo[a] = (dims.extent(a) - ext[a]) / 2;
   }
-  Dims sub = [&] {
-    switch (dims.rank()) {
-      case 1: return Dims{ext[0]};
-      case 2: return Dims{ext[0], ext[1]};
-      case 3: return Dims{ext[0], ext[1], ext[2]};
-      default: return Dims{ext[0], ext[1], ext[2], ext[3]};
-    }
-  }();
-  Field<T> out(sub);
-  std::array<std::size_t, kMaxRank> c{};
-  for (c[0] = 0; c[0] < ext[0]; ++c[0])
-    for (c[1] = 0; c[1] < ext[1]; ++c[1])
-      for (c[2] = 0; c[2] < ext[2]; ++c[2])
-        for (c[3] = 0; c[3] < ext[3]; ++c[3])
-          out[sub.index(c[0], c[1], c[2], c[3])] =
-              data[dims.index(lo[0] + c[0], lo[1] + c[1], lo[2] + c[2],
-                              lo[3] + c[3])];
+  Field<T> out(Dims(dims.rank(), ext));
+  copy_box(data, dims, lo, 1, out.data(), out.dims());
   return out;
 }
 

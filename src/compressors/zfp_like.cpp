@@ -371,7 +371,8 @@ struct ZFPCodec {
   using Config = ZFPConfig;
   using Artifacts = NoArtifacts;
   static constexpr CompressorId kId = CompressorId::kZFP;
-  static constexpr const char* kName = "zfp";
+  static constexpr const char* kName = "ZFP";
+  static constexpr CodecTraits kTraits{};
 
   template <class T>
   static void encode(const T* data, const Dims& dims, const Config& cfg,
@@ -401,7 +402,8 @@ struct ZFPCodec {
   }
 
   template <class T>
-  static void decode(const ContainerReader& in, T* out, ThreadPool*) {
+  static void decode(const ContainerReader& in, const DecodeRequest&, T* out,
+                     ThreadPool*, PartialDecodeStats*) {
     ByteReader h = in.stage(StageId::kConfig);
     const double eb = h.get<double>();
     const int guard = h.get<std::int32_t>();
@@ -424,14 +426,10 @@ std::vector<std::uint8_t> zfp_compress(const T* data, const Dims& dims,
 template <class T>
 Field<T> zfp_decompress(std::span<const std::uint8_t> archive,
                         ThreadPool* pool) {
-  return codec_open<ZFPCodec, T>(archive, pool);
+  return codec_decode<ZFPCodec, T>(archive, {}, pool);
 }
 
-template <class T>
-void zfp_decompress_into(std::span<const std::uint8_t> archive, T* out,
-                         const Dims& expect, ThreadPool* pool) {
-  codec_open_into<ZFPCodec, T>(archive, out, expect, pool);
-}
+CompressorEntry zfp_entry() { return codec_entry<ZFPCodec>(); }
 
 template std::vector<std::uint8_t> zfp_compress<float>(const float*,
                                                        const Dims&,
@@ -443,9 +441,5 @@ template Field<float> zfp_decompress<float>(std::span<const std::uint8_t>,
                                             ThreadPool*);
 template Field<double> zfp_decompress<double>(std::span<const std::uint8_t>,
                                               ThreadPool*);
-template void zfp_decompress_into<float>(std::span<const std::uint8_t>, float*,
-                                         const Dims&, ThreadPool*);
-template void zfp_decompress_into<double>(std::span<const std::uint8_t>,
-                                          double*, const Dims&, ThreadPool*);
 
 }  // namespace qip

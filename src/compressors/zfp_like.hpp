@@ -39,13 +39,6 @@ template <class T>
 [[nodiscard]] Field<T> zfp_decompress(std::span<const std::uint8_t> archive,
                                       ThreadPool* pool = nullptr);
 
-/// Decompress straight into caller-owned storage of shape `expect`
-/// (a dims mismatch throws DecodeError). Avoids the temporary Field +
-/// copy of the allocating overload; used by the chunked decoder.
-template <class T>
-void zfp_decompress_into(std::span<const std::uint8_t> archive, T* out,
-                         const Dims& expect, ThreadPool* pool = nullptr);
-
 extern template std::vector<std::uint8_t> zfp_compress<float>(
     const float*, const Dims&, const ZFPConfig&);
 extern template std::vector<std::uint8_t> zfp_compress<double>(
@@ -54,11 +47,5 @@ extern template Field<float> zfp_decompress<float>(
     std::span<const std::uint8_t>, ThreadPool*);
 extern template Field<double> zfp_decompress<double>(
     std::span<const std::uint8_t>, ThreadPool*);
-extern template void zfp_decompress_into<float>(std::span<const std::uint8_t>,
-                                                float*, const Dims&,
-                                                ThreadPool*);
-extern template void zfp_decompress_into<double>(std::span<const std::uint8_t>,
-                                                 double*, const Dims&,
-                                                 ThreadPool*);
 
 }  // namespace qip

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <random>
 
+#include "util/thread_pool.hpp"
+
 namespace qip {
 namespace {
 
@@ -51,6 +53,15 @@ std::uint64_t mix_seed(DatasetId id, int field, std::uint64_t seed) {
   return h;
 }
 
+/// Run body(i) for every outer-axis index i < n on a pool of one worker
+/// per hardware thread. Each point is a pure function of its
+/// coordinates, so the field is the same whatever the worker count.
+template <class F>
+void for_each_outer(std::size_t n, F&& body) {
+  ThreadPool pool(0);
+  pool.parallel_for(n, body);
+}
+
 /// Fill a rank-3 field from a pointwise generator of normalized coords.
 template <class T, class F>
 void fill3(Field<T>& f, F&& fn) {
@@ -58,20 +69,16 @@ void fill3(Field<T>& f, F&& fn) {
   const double nz = static_cast<double>(std::max<std::size_t>(d.extent(0) - 1, 1));
   const double ny = static_cast<double>(std::max<std::size_t>(d.extent(1) - 1, 1));
   const double nx = static_cast<double>(std::max<std::size_t>(d.extent(2) - 1, 1));
-#ifdef QIP_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (long long zi = 0; zi < static_cast<long long>(d.extent(0)); ++zi) {
+  for_each_outer(d.extent(0), [&](std::size_t zi) {
     const double z = zi / nz;
     for (std::size_t yi = 0; yi < d.extent(1); ++yi) {
       const double y = yi / ny;
       for (std::size_t xi = 0; xi < d.extent(2); ++xi) {
         const double x = xi / nx;
-        f.at(static_cast<std::size_t>(zi), yi, xi) =
-            static_cast<T>(fn(z, y, x));
+        f.at(zi, yi, xi) = static_cast<T>(fn(z, y, x));
       }
     }
-  }
+  });
 }
 
 /// Ricker wavelet (seismic source signature).
@@ -246,10 +253,7 @@ void gen_rtm_4d(Field<T>& f, int field, std::uint64_t seed) {
   const double n1 = static_cast<double>(std::max<std::size_t>(d.extent(1) - 1, 1));
   const double n2 = static_cast<double>(std::max<std::size_t>(d.extent(2) - 1, 1));
   const double n3 = static_cast<double>(std::max<std::size_t>(d.extent(3) - 1, 1));
-#ifdef QIP_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (long long ti = 0; ti < static_cast<long long>(d.extent(0)); ++ti) {
+  for_each_outer(d.extent(0), [&](std::size_t ti) {
     const double t = 0.1 + 0.9 * (ti / nt);
     for (std::size_t zi = 0; zi < d.extent(1); ++zi) {
       const double z = zi / n1;
@@ -268,12 +272,11 @@ void gen_rtm_4d(Field<T>& f, int field, std::uint64_t seed) {
           const double ghost =
               0.3 * ricker((r * warp - t * 0.55) * 9.0, 1.0) /
               (1.0 + 7.0 * r);
-          f.at(static_cast<std::size_t>(ti), zi, yi, xi) =
-              static_cast<T>(front + ghost);
+          f.at(ti, zi, yi, xi) = static_cast<T>(front + ghost);
         }
       }
     }
-  }
+  });
 }
 
 template <class T>

@@ -1,6 +1,7 @@
 #include "parallel/chunked.hpp"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -14,12 +15,9 @@ namespace qip {
 namespace {
 
 Dims slab_dims(const Dims& d, std::size_t thickness) {
-  switch (d.rank()) {
-    case 1: return Dims{thickness};
-    case 2: return Dims{thickness, d.extent(1)};
-    case 3: return Dims{thickness, d.extent(1), d.extent(2)};
-    default: return Dims{thickness, d.extent(1), d.extent(2), d.extent(3)};
-  }
+  const std::array<std::size_t, kMaxRank> e{thickness, d.extent(1),
+                                            d.extent(2), d.extent(3)};
+  return Dims(d.rank(), e);
 }
 
 template <class T>
@@ -31,11 +29,11 @@ const auto& compress_fn(const CompressorEntry& e) {
 }
 
 template <class T>
-const auto& decompress_into_fn(const CompressorEntry& e) {
+const auto& decode_fn(const CompressorEntry& e) {
   if constexpr (std::is_same_v<T, float>)
-    return e.decompress_into_f32;
+    return e.decode_f32;
   else
-    return e.decompress_into_f64;
+    return e.decode_f64;
 }
 
 /// Resolve the pool to run on: the caller's shared pool when provided,
@@ -99,39 +97,54 @@ std::vector<std::uint8_t> chunked_compress(const T* data, const Dims& dims,
   return w.take();
 }
 
-template <class T>
-Field<T> chunked_decompress(std::span<const std::uint8_t> archive,
-                            unsigned workers, ThreadPool* shared_pool) {
+bool is_chunked(std::span<const std::uint8_t> archive) {
+  if (archive.size() < 5) return false;
+  ByteReader r(archive);
+  return r.get<std::uint32_t>() == kChunkedMagic;
+}
+
+ChunkedInfo inspect_chunked(std::span<const std::uint8_t> archive) {
   if (archive.size() < 5) throw DecodeError("chunked archive too short");
   ByteReader r(archive);
   if (r.get<std::uint32_t>() != kChunkedMagic)
     throw DecodeError("not a chunked archive");
-  if (r.get<std::uint8_t>() != dtype_tag<T>())
-    throw DecodeError("chunked archive dtype mismatch");
-  const Dims dims = read_dims(r);
-  const std::size_t slab = static_cast<std::size_t>(r.get_varint());
+  ChunkedInfo info;
+  info.dtype = r.get<std::uint8_t>();
+  info.dims = read_dims(r);
+  info.slab = static_cast<std::size_t>(r.get_varint());
   const std::size_t nchunks = static_cast<std::size_t>(r.get_varint());
   // The chunk geometry must be internally consistent before any slab is
   // decoded: every chunk spans `slab` leading planes except a short tail.
-  if (slab == 0 || slab > dims.extent(0))
+  if (info.slab == 0 || info.slab > info.dims.extent(0))
     throw DecodeError("chunked archive bad slab size");
-  if (nchunks != (dims.extent(0) + slab - 1) / slab)
+  if (nchunks != (info.dims.extent(0) + info.slab - 1) / info.slab)
     throw DecodeError("chunked archive chunk count mismatch");
   const std::size_t name_len = static_cast<std::size_t>(r.get_varint());
   if (name_len > r.remaining())
     throw DecodeError("chunked archive name overruns buffer");
   const auto name_bytes = r.get_bytes(name_len);
-  const std::string name(name_bytes.begin(), name_bytes.end());
-  const CompressorEntry& comp = find_compressor(name);
+  info.compressor.assign(name_bytes.begin(), name_bytes.end());
+  info.parts.resize(nchunks);
+  for (auto& p : info.parts) p = r.get_block();
+  return info;
+}
 
-  std::vector<std::span<const std::uint8_t>> parts(nchunks);
-  for (auto& p : parts) p = r.get_block();
+template <class T>
+Field<T> chunked_decompress(std::span<const std::uint8_t> archive,
+                            unsigned workers, ThreadPool* shared_pool) {
+  const ChunkedInfo info = inspect_chunked(archive);
+  if (info.dtype != dtype_tag<T>())
+    throw DecodeError("chunked archive dtype mismatch");
+  const CompressorEntry& comp = find_compressor(info.compressor);
+  const Dims& dims = info.dims;
+  const std::size_t slab = info.slab;
+  const std::size_t nchunks = info.parts.size();
 
   Field<T> out(dims);
   const std::size_t plane = dims.size() / dims.extent(0);
   std::optional<ThreadPool> owned;
   ThreadPool* pool = resolve_pool(shared_pool, workers, owned);
-  const auto& dec_into = decompress_into_fn<T>(comp);
+  const auto& decode = decode_fn<T>(comp);
   // Same saturation rule as the compress side: with fewer slabs than
   // workers, let each slab's internal stages fan out over the leftover
   // workers; once slabs cover the pool, nested fan-out is pure overhead.
@@ -141,8 +154,8 @@ Field<T> chunked_decompress(std::span<const std::uint8_t> archive,
     const std::size_t thick = std::min(slab, dims.extent(0) - z0);
     // Decode straight into the slab's final position: no per-slab
     // temporary field and no copy. A shape mismatch throws inside.
-    dec_into(parts[c], out.data() + z0 * plane, slab_dims(dims, thick),
-             intra);
+    decode(info.parts[c], {}, out.data() + z0 * plane, slab_dims(dims, thick),
+           intra, nullptr);
   });
   return out;
 }

@@ -40,9 +40,27 @@ template <class T>
 [[nodiscard]] std::vector<std::uint8_t> chunked_compress(
     const T* data, const Dims& dims, const ChunkedOptions& opt);
 
-/// Throws DecodeError on malformed archives (bad magic/dtype, inconsistent
-/// chunk geometry, truncated blocks). Each slab is decoded straight into
-/// its final position in the output field (no per-slab temporary + copy).
+/// The header of a chunked archive and its per-slab archives.
+struct ChunkedInfo {
+  std::uint8_t dtype = 0;
+  Dims dims;             ///< the whole field
+  std::size_t slab = 0;  ///< leading planes per chunk (the tail may be short)
+  std::string compressor;
+  std::vector<std::span<const std::uint8_t>> parts;  ///< one per chunk
+};
+
+/// Does `archive` lead with the chunked magic (vs a plain container)?
+[[nodiscard]] bool is_chunked(std::span<const std::uint8_t> archive);
+
+/// Parse a chunked archive's header and slab framing without decoding
+/// any slab. Throws DecodeError on bad magic, inconsistent chunk
+/// geometry or truncated blocks.
+[[nodiscard]] ChunkedInfo inspect_chunked(
+    std::span<const std::uint8_t> archive);
+
+/// Throws DecodeError on malformed archives (inspect_chunked's checks, or
+/// a dtype mismatch). Each slab is decoded with a full request straight
+/// into its final position in the output field (no per-slab temporary).
 /// Pass `pool` to reuse a shared worker pool; otherwise a local pool with
 /// `workers` threads (0 = hardware concurrency) is spun up.
 template <class T>

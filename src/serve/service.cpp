@@ -29,20 +29,19 @@ void field_to_bytes(const Field<T>& f, JobResult& res) {
   std::memcpy(res.bytes.data(), f.data(), res.bytes.size());
 }
 
-/// Is this archive the chunked top-level format (vs the per-codec
-/// container)? Both formats lead with a little-endian u32 magic.
-bool is_chunked(std::span<const std::uint8_t> a) {
-  if (a.size() < 5) return false;
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, a.data(), sizeof(magic));
-  return magic == kChunkedMagic;
-}
-
 /// Scalar-type tag of an archive, either format. Throws DecodeError on
 /// malformed bytes.
 std::uint8_t archive_dtype(std::span<const std::uint8_t> a) {
-  if (is_chunked(a)) return a[4];  // magic(4) | dtype(1) | dims...
-  return inspect_container(a).dtype;
+  return is_chunked(a) ? inspect_chunked(a).dtype : inspect_container(a).dtype;
+}
+
+/// The decode a decode-direction job asks for.
+DecodeRequest request_of(const JobSpec& spec) {
+  switch (spec.kind) {
+    case JobKind::kPreview: return DecodeRequest::preview(spec.level);
+    case JobKind::kRegion: return DecodeRequest::region(spec.region);
+    default: return {};
+  }
 }
 
 }  // namespace
@@ -212,51 +211,34 @@ void Service::execute(const JobSpec& spec, unsigned width, JobResult& res) {
       res.f64 = spec.f64;
       return;
     }
-    case JobKind::kDecompress: {
-      if (is_chunked(spec.input)) {
+    case JobKind::kDecompress:
+    case JobKind::kPreview:
+    case JobKind::kRegion: {
+      // Every decode kind is held to the output cap by its header-declared
+      // output size, before anything is allocated.
+      const DecodeRequest req = request_of(spec);
+      const bool chunked = is_chunked(spec.input);
+      const Dims field_dims = chunked ? inspect_chunked(spec.input).dims
+                                      : inspect_container(spec.input).dims;
+      const Dims out_dims = req.output_dims(field_dims);
+      if (out_dims.size() > opt_.max_output_bytes / sizeof(T))
+        throw DecodeError("serve: archive output " + out_dims.str() +
+                          " exceeds the configured output cap");
+      if (chunked) {
+        if (req.kind != DecodeRequest::Kind::kFull)
+          throw DecodeError("serve: chunked archives serve full decodes only");
         field_to_bytes(chunked_decompress<T>(spec.input, 0, pool_), res);
         return;
       }
-      const ContainerInfo info = inspect_container(spec.input);
-      if (info.dims.size() * sizeof(T) > opt_.max_output_bytes)
-        throw DecodeError("serve: archive output " + info.dims.str() +
-                          " exceeds the configured output cap");
       const CompressorEntry& e = find_compressor_for(spec.input);
-      Field<T> out(info.dims);
+      PartialDecodeStats stats;
+      Field<T> out(out_dims);
       if constexpr (sizeof(T) == 8)
-        e.decompress_into_f64(spec.input, out.data(), info.dims, intra);
+        e.decode_f64(spec.input, req, out.data(), out_dims, intra, &stats);
       else
-        e.decompress_into_f32(spec.input, out.data(), info.dims, intra);
+        e.decode_f32(spec.input, req, out.data(), out_dims, intra, &stats);
       field_to_bytes(out, res);
-      return;
-    }
-    case JobKind::kPreview: {
-      const CompressorEntry& e = find_compressor_for(spec.input);
-      PartialDecodeStats stats;
-      if constexpr (sizeof(T) == 8)
-        field_to_bytes(e.decompress_preview_pool_f64(spec.input, spec.level,
-                                                     &stats, intra),
-                       res);
-      else
-        field_to_bytes(e.decompress_preview_pool_f32(spec.input, spec.level,
-                                                     &stats, intra),
-                       res);
-      // A preview's honest input cost is the prefix it actually read.
-      if (stats.payload_bytes_read)
-        res.metrics.input_bytes = stats.payload_bytes_read;
-      return;
-    }
-    case JobKind::kRegion: {
-      const CompressorEntry& e = find_compressor_for(spec.input);
-      PartialDecodeStats stats;
-      if constexpr (sizeof(T) == 8)
-        field_to_bytes(e.decompress_region_pool_f64(spec.input, spec.region,
-                                                    &stats, intra),
-                       res);
-      else
-        field_to_bytes(e.decompress_region_pool_f32(spec.input, spec.region,
-                                                    &stats, intra),
-                       res);
+      // A partial decode's honest input cost is the payload it read.
       if (stats.payload_bytes_read)
         res.metrics.input_bytes = stats.payload_bytes_read;
       return;

@@ -63,8 +63,9 @@ struct ServeOptions {
   AdmitPolicy policy = AdmitPolicy::kBlock;
   /// Jobs with at least this many input bytes get intra-job fan-out.
   std::size_t large_job_bytes = std::size_t{4} << 20;
-  /// Refuse decode jobs whose header-declared output exceeds this many
-  /// bytes (allocation bomb guard for untrusted archives).
+  /// Refuse decode jobs — full, chunked, preview or region — whose
+  /// header-declared output exceeds this many bytes, before anything is
+  /// allocated (allocation bomb guard for untrusted archives).
   std::size_t max_output_bytes = std::size_t{1} << 31;
   /// Borrowed pool; overrides `workers`. Must outlive the Service.
   ThreadPool* pool = nullptr;

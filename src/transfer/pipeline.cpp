@@ -1,6 +1,7 @@
 #include "transfer/pipeline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <mutex>
@@ -17,12 +18,9 @@ namespace {
 
 /// Dims of one slice (axis 0 removed if rank > 1).
 Dims slice_dims(const Dims& d) {
-  switch (d.rank()) {
-    case 1: return Dims{1};
-    case 2: return Dims{d.extent(1)};
-    case 3: return Dims{d.extent(1), d.extent(2)};
-    default: return Dims{d.extent(1), d.extent(2), d.extent(3)};
-  }
+  const std::array<std::size_t, kMaxRank> e{d.extent(1), d.extent(2),
+                                            d.extent(3), 1};
+  return Dims(std::max(1, d.rank() - 1), e);
 }
 
 }  // namespace

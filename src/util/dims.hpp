@@ -14,6 +14,7 @@
 #include <initializer_list>
 #include <numeric>
 #include <ostream>
+#include <span>
 #include <string>
 
 namespace qip {
@@ -35,6 +36,14 @@ class Dims {
     rank_ = static_cast<int>(extents.size());
     int i = 0;
     for (std::size_t e : extents) d_[i++] = e;
+    compute_strides();
+  }
+
+  /// Construct from a rank and per-axis extents; entries past `rank` are
+  /// ignored. The form for shapes derived axis by axis, e.g. Dims(d.rank(), e).
+  Dims(int rank, std::span<const std::size_t, kMaxRank> extents) : rank_(rank) {
+    assert(rank >= 1 && rank <= kMaxRank);
+    for (int a = 0; a < rank; ++a) d_[a] = extents[a];
     compute_strides();
   }
 

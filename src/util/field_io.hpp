@@ -212,14 +212,7 @@ QfldHeader parse_qfld_header(std::span<const std::uint8_t> head,
   std::size_t e[kMaxRank] = {1, 1, 1, 1};
   for (int a = 0; a < rank; ++a) e[a] = static_cast<std::size_t>(r.get_varint());
   QfldHeader h;
-  h.dims = [&] {
-    switch (rank) {
-      case 1: return Dims{e[0]};
-      case 2: return Dims{e[0], e[1]};
-      case 3: return Dims{e[0], e[1], e[2]};
-      default: return Dims{e[0], e[1], e[2], e[3]};
-    }
-  }();
+  h.dims = Dims(rank, e);
   h.payload_offset = r.position();
   return h;
 }

@@ -116,35 +116,23 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     const auto& entry = qip::find_compressor_for(bytes);
     const qip::Dims dims = qip::inspect_container(bytes).dims;
     if (dims.size() <= kMaxDecodeElems) {
-      try {
-        (void)entry.decompress_f32(bytes);
-      } catch (const qip::DecodeError&) {
-      }
-      try {
-        (void)entry.decompress_f64(bytes);
-      } catch (const qip::DecodeError&) {
-      }
       const int level = 1 + (size > 1 ? data[1] % 6 : 0);
-      try {
-        (void)entry.decompress_preview_f32(bytes, level, nullptr);
-      } catch (const qip::DecodeError&) {
-      }
-      try {
-        (void)entry.decompress_preview_f64(bytes, level, nullptr);
-      } catch (const qip::DecodeError&) {
-      }
       qip::Box box = qip::Box::whole(dims);
       for (int a = 0; a < dims.rank(); ++a) {
         box.lo[a] = dims.extent(a) / 4;
         box.hi[a] = box.lo[a] + (dims.extent(a) + 1) / 2;
       }
-      try {
-        (void)entry.decompress_region_f32(bytes, box, nullptr);
-      } catch (const qip::DecodeError&) {
-      }
-      try {
-        (void)entry.decompress_region_f64(bytes, box, nullptr);
-      } catch (const qip::DecodeError&) {
+      for (const qip::DecodeRequest& req :
+           {qip::DecodeRequest{}, qip::DecodeRequest::preview(level),
+            qip::DecodeRequest::region(box)}) {
+        try {
+          (void)entry.decode<float>(bytes, req);
+        } catch (const qip::DecodeError&) {
+        }
+        try {
+          (void)entry.decode<double>(bytes, req);
+        } catch (const qip::DecodeError&) {
+        }
       }
     }
   } catch (const qip::DecodeError&) {

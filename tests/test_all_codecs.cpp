@@ -1,8 +1,9 @@
 // Parameterized roundtrip matrix over every registered codec: dtype
-// (f32/f64) × rank 1–4 × QP off/on, exercised through compress,
-// decompress, and decompress_into. This one fixture replaces the
-// near-identical generic roundtrip helpers the per-codec test files
-// used to duplicate; those files keep only their codec-specific tests.
+// (f32/f64) × rank 1–4 × QP off/on, exercised through compress, the
+// allocating decompress, and a full-request decode into a caller
+// buffer. This one fixture replaces the near-identical generic roundtrip
+// helpers the per-codec test files used to duplicate; those files keep
+// only their codec-specific tests.
 
 #include "compressors/registry.hpp"
 
@@ -38,15 +39,15 @@ Field<double> entry_decompress(const CompressorEntry& e,
                                std::span<const std::uint8_t> a, double) {
   return e.decompress_f64(a);
 }
-void entry_decompress_into(const CompressorEntry& e,
-                           std::span<const std::uint8_t> a, float* dst,
-                           const Dims& d) {
-  e.decompress_into_f32(a, dst, d, nullptr);
+void entry_decode_into(const CompressorEntry& e,
+                       std::span<const std::uint8_t> a, float* dst,
+                       const Dims& d) {
+  e.decode_f32(a, {}, dst, d, nullptr, nullptr);
 }
-void entry_decompress_into(const CompressorEntry& e,
-                           std::span<const std::uint8_t> a, double* dst,
-                           const Dims& d) {
-  e.decompress_into_f64(a, dst, d, nullptr);
+void entry_decode_into(const CompressorEntry& e,
+                       std::span<const std::uint8_t> a, double* dst,
+                       const Dims& d) {
+  e.decode_f64(a, {}, dst, d, nullptr, nullptr);
 }
 
 template <class T>
@@ -86,9 +87,9 @@ class AllCodecs : public ::testing::TestWithParam<CodecCase> {
       EXPECT_LE(max_abs_error(f.span(), dec.span()),
                 opt.error_bound * (1 + 1e-9));
 
-      // decompress_into must produce the same bytes into a caller buffer.
+      // Decoding into a caller buffer must produce the same bytes.
       std::vector<T> buf(f.size(), T{});
-      entry_decompress_into(e, arc, buf.data(), dims);
+      entry_decode_into(e, arc, buf.data(), dims);
       for (std::size_t i = 0; i < buf.size(); ++i)
         ASSERT_EQ(buf[i], dec[i]) << "element " << i;
 
@@ -97,7 +98,7 @@ class AllCodecs : public ::testing::TestWithParam<CodecCase> {
                                     : Dims{dims.extent(0) + 1,
                                            dims.extent(1)};
       std::vector<T> sink(wrong.size());
-      EXPECT_THROW(entry_decompress_into(e, arc, sink.data(), wrong),
+      EXPECT_THROW(entry_decode_into(e, arc, sink.data(), wrong),
                    DecodeError);
     }
   }

@@ -278,11 +278,11 @@ TEST(InterpParallel, PooledPartialDecodesMatchPlain) {
     SCOPED_TRACE(::testing::Message() << "workers=" << nw);
     ThreadPool pool(nw, /*cap_to_hardware=*/false);
     const Field<float> prev =
-        e.decompress_preview_pool_f32(arc, 2, nullptr, &pool);
+        e.decompress_preview_f32(arc, 2, nullptr, &pool);
     expect_same_scalars(prev.data(), prev_plain.data(), prev_plain.size(),
                         "pooled preview");
     const Field<float> reg =
-        e.decompress_region_pool_f32(arc, box, nullptr, &pool);
+        e.decompress_region_f32(arc, box, nullptr, &pool);
     expect_same_scalars(reg.data(), reg_plain.data(), reg_plain.size(),
                         "pooled region");
   }

@@ -99,9 +99,9 @@ namespace qip {
 namespace {
 
 TEST(MGARD, ResolutionReductionShapesAndAccuracy) {
-  // Build a smooth field, compress, and decode at several reductions:
-  // shapes must halve per skipped level and values must track the
-  // original coarse grid.
+  // Build a smooth field, compress, and preview at several levels:
+  // shapes must halve per level and values must track the original
+  // coarse grid.
   Field<float> f(Dims{33, 40, 48});
   for (std::size_t z = 0; z < 33; ++z)
     for (std::size_t y = 0; y < 40; ++y)
@@ -112,10 +112,10 @@ TEST(MGARD, ResolutionReductionShapesAndAccuracy) {
   cfg.error_bound = 1e-3;
   const auto arc = mgard_compress(f.data(), f.dims(), cfg);
 
-  const auto r0 = mgard_decompress_reduced<float>(arc, 0);
+  const auto r0 = mgard_decompress_preview<float>(arc, 1);
   EXPECT_EQ(r0.dims(), f.dims());
 
-  const auto r1 = mgard_decompress_reduced<float>(arc, 1);
+  const auto r1 = mgard_decompress_preview<float>(arc, 2);
   EXPECT_EQ(r1.dims(), (Dims{17, 20, 24}));
   double worst = 0;
   for (std::size_t z = 0; z < 17; ++z)
@@ -128,20 +128,22 @@ TEST(MGARD, ResolutionReductionShapesAndAccuracy) {
   // stays within a few bin widths on smooth data.
   EXPECT_LT(worst, 50 * cfg.error_bound);
 
-  const auto r2 = mgard_decompress_reduced<float>(arc, 2);
+  const auto r2 = mgard_decompress_preview<float>(arc, 3);
   EXPECT_EQ(r2.dims(), (Dims{9, 10, 12}));
 }
 
-TEST(MGARD, ReductionBeyondLevelsClamps) {
+TEST(MGARD, PreviewBeyondLevelsRefused) {
   Field<float> f(Dims{9, 9, 9});
   for (std::size_t i = 0; i < f.size(); ++i)
     f[i] = static_cast<float>(i % 5);
   MGARDConfig cfg;
   cfg.error_bound = 1e-2;
   const auto arc = mgard_compress(f.data(), f.dims(), cfg);
-  const auto r = mgard_decompress_reduced<float>(arc, 99);
-  // levels(9) = 4 -> max skip 3 -> stride 8 -> extents ceil(9/8) = 2.
-  EXPECT_EQ(r.dims(), (Dims{2, 2, 2}));
+  // levels(9) = 4 -> coarsest preview level 4 -> stride 8 -> extents
+  // ceil(9/8) = 2; no level beyond it exists.
+  EXPECT_EQ(mgard_decompress_preview<float>(arc, 4).dims(), (Dims{2, 2, 2}));
+  EXPECT_THROW((void)mgard_decompress_preview<float>(arc, 5), DecodeError);
+  EXPECT_THROW((void)mgard_decompress_preview<float>(arc, 99), DecodeError);
 }
 
 }  // namespace

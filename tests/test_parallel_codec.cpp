@@ -6,8 +6,8 @@
 //    worker count (the ranged/blocked split is a format constant);
 //  - the ranged Huffman and blocked LZB layouts must round-trip at sizes
 //    past their thresholds, and reject truncated streams cleanly;
-//  - the decompress_into path must match the allocating path exactly and
-//    reject shape mismatches with DecodeError.
+//  - a decode into a caller buffer must match the allocating path exactly
+//    and reject shape mismatches with DecodeError.
 
 #include <gtest/gtest.h>
 
@@ -155,8 +155,8 @@ TEST(ParallelCodec, DecompressIntoMatchesAllocatingPath) {
     const auto arc = e.compress_f32(f.data(), f.dims(), opt);
     const Field<float> alloc = e.decompress_f32(arc);
     Field<float> direct(f.dims());
-    ASSERT_TRUE(static_cast<bool>(e.decompress_into_f32)) << e.name;
-    e.decompress_into_f32(arc, direct.data(), f.dims(), nullptr);
+    ASSERT_TRUE(static_cast<bool>(e.decode_f32)) << e.name;
+    e.decode_f32(arc, {}, direct.data(), f.dims(), nullptr, nullptr);
     for (std::size_t i = 0; i < alloc.size(); ++i)
       ASSERT_EQ(direct[i], alloc[i]) << e.name << " index " << i;
   }
@@ -169,12 +169,12 @@ TEST(ParallelCodec, DecompressIntoRejectsShapeMismatch) {
     opt.error_bound = 1e-2;
     const auto arc = e.compress_f32(f.data(), f.dims(), opt);
     std::vector<float> buf(f.size());
-    EXPECT_THROW(
-        e.decompress_into_f32(arc, buf.data(), Dims{16, 16, 8}, nullptr),
-        DecodeError)
+    EXPECT_THROW(e.decode_f32(arc, {}, buf.data(), Dims{16, 16, 8}, nullptr,
+                              nullptr),
+                 DecodeError)
         << e.name;
     EXPECT_THROW(
-        e.decompress_into_f32(arc, buf.data(), Dims{16, 16}, nullptr),
+        e.decode_f32(arc, {}, buf.data(), Dims{16, 16}, nullptr, nullptr),
         DecodeError)
         << e.name;
   }

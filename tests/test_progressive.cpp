@@ -62,13 +62,7 @@ Field<T> crop(const Field<T>& f, const Box& box) {
   const Dims& d = f.dims();
   std::size_t e[kMaxRank];
   for (int a = 0; a < kMaxRank; ++a) e[a] = box.hi[a] - box.lo[a];
-  Dims rd;
-  switch (d.rank()) {
-    case 1: rd = Dims{e[0]}; break;
-    case 2: rd = Dims{e[0], e[1]}; break;
-    case 3: rd = Dims{e[0], e[1], e[2]}; break;
-    default: rd = Dims{e[0], e[1], e[2], e[3]}; break;
-  }
+  const Dims rd(d.rank(), e);
   Field<T> out(rd);
   std::array<std::size_t, kMaxRank> c{};
   for (c[0] = 0; c[0] < e[0]; ++c[0])
@@ -397,21 +391,26 @@ TEST(Progressive, RegistryExposesCapabilitiesPerCodec) {
     EXPECT_EQ(e.supports_region,
               e.name == "SZ3" || e.name == "QoZ" || e.name == "HPEZ")
         << e.name;
-    // Always callable: unsupported codecs install a typed refusal.
-    ASSERT_TRUE(e.decompress_preview_f32 != nullptr) << e.name;
-    ASSERT_TRUE(e.decompress_region_f64 != nullptr) << e.name;
-    ASSERT_TRUE(e.decompress_preview_pool_f32 != nullptr) << e.name;
-    ASSERT_TRUE(e.decompress_region_pool_f64 != nullptr) << e.name;
+    ASSERT_TRUE(e.decode_f32 != nullptr) << e.name;
+    ASSERT_TRUE(e.decode_f64 != nullptr) << e.name;
   }
+  // Unsupported kinds get a typed refusal before the archive is read,
+  // through the allocating forms and the decode closures alike.
   const auto& zfp = find_compressor("ZFP");
   EXPECT_THROW((void)zfp.decompress_preview_f32({}, 1, nullptr),
                UnknownCodecError);
   const auto& mgard = find_compressor("MGARD");
   EXPECT_THROW((void)mgard.decompress_region_f32({}, Box{}, nullptr),
                UnknownCodecError);
-  EXPECT_THROW(
-      (void)mgard.decompress_region_pool_f32({}, Box{}, nullptr, nullptr),
-      UnknownCodecError);
+  EXPECT_THROW((void)mgard.decompress_region_f32({}, Box{}, nullptr, nullptr),
+               UnknownCodecError);
+  float sink = 0;
+  EXPECT_THROW(mgard.decode_f32({}, DecodeRequest::region(Box{}), &sink,
+                                Dims{1}, nullptr, nullptr),
+               UnknownCodecError);
+  EXPECT_THROW(zfp.decode_f32({}, DecodeRequest::preview(1), &sink, Dims{1},
+                              nullptr, nullptr),
+               UnknownCodecError);
 }
 
 TEST(Progressive, RegistryPreviewMatchesDirectCall) {
@@ -422,10 +421,11 @@ TEST(Progressive, RegistryPreviewMatchesDirectCall) {
   const auto arc = qoz_compress(f.data(), f.dims(), cfg);
   const auto& e = find_compressor("QoZ");
   PartialDecodeStats st;
-  expect_identical(e.decompress_preview_f64(arc, 2, &st),
-                   qoz_decompress_preview<double>(arc, 2));
+  expect_identical(
+      e.decode<double>(arc, DecodeRequest::preview(2), nullptr, &st),
+      qoz_decompress_preview<double>(arc, 2));
   const Box box = make_box(f.dims(), {{4, 37}, {16, 48}});
-  expect_identical(e.decompress_region_f64(arc, box, nullptr),
+  expect_identical(e.decode<double>(arc, DecodeRequest::region(box)),
                    qoz_decompress_region<double>(arc, box));
 }
 

@@ -264,17 +264,44 @@ TEST(Serve, FailuresResolveTheFutureWithErrorNotThrow) {
 }
 
 TEST(Serve, OutputCapRefusesBombArchives) {
-  const Field<float> f = sample_field(16);
-  const auto arc = find_compressor("SZ3").compress_f32(f.data(), f.dims(), {});
+  // Every decode kind is held to the cap by its header-declared output.
+  const Field<float> f = sample_field(32);
+  SZ3Config cfg;
+  cfg.tile_size = 16;
+  cfg.auto_fallback = false;  // pin the interpolation path: tiled archive
+  const auto arc = sz3_compress(f.data(), f.dims(), cfg);
+  ChunkedOptions co;
+  co.compressor = "SZ3";
+  const auto chunked = chunked_compress(f.data(), f.dims(), co);
   serve::ServeOptions so;
-  so.max_output_bytes = 64;  // way below the 16^3 output
+  so.max_output_bytes = 64;  // way below the 32^3 output
   serve::Service svc(so);
-  serve::JobSpec spec;
-  spec.kind = serve::JobKind::kDecompress;
-  spec.input = arc;
-  const serve::JobResult r = run_one(svc, spec);
-  EXPECT_FALSE(r.metrics.ok);
-  EXPECT_NE(r.metrics.error.find("output cap"), std::string::npos);
+
+  serve::JobSpec full;
+  full.kind = serve::JobKind::kDecompress;
+  full.input = arc;
+  serve::JobSpec slabs = full;
+  slabs.input = chunked;
+  serve::JobSpec preview = full;
+  preview.kind = serve::JobKind::kPreview;
+  preview.level = 1;
+  serve::JobSpec region = full;
+  region.kind = serve::JobKind::kRegion;
+  region.region = Box::whole(f.dims());
+  for (const serve::JobSpec& spec : {full, slabs, preview, region}) {
+    const serve::JobResult r = run_one(svc, spec);
+    EXPECT_FALSE(r.metrics.ok) << static_cast<int>(spec.kind);
+    EXPECT_TRUE(r.bytes.empty());
+    EXPECT_NE(r.metrics.error.find("output cap"), std::string::npos)
+        << r.metrics.error;
+  }
+
+  // The cap is on the request's output, not the archive's field: a 2^3
+  // region (32 bytes) of the same archive is served.
+  for (int a = 0; a < 3; ++a) region.region.hi[a] = 2;
+  const serve::JobResult r = run_one(svc, region);
+  ASSERT_TRUE(r.metrics.ok) << r.metrics.error;
+  EXPECT_EQ(r.bytes.size(), 8 * sizeof(float));
 }
 
 TEST(Serve, SmallJobsStayWidthOneLargeJobsFanOut) {

@@ -5,7 +5,7 @@ Registry-reachable entry points are the compressor surface every caller
 against, so they carry two obligations:
 
 * ``codec-nodiscard`` — a non-void codec-API definition (encode/decode/
-  compress/decompress/codec_seal/codec_open*/inspect_container/
+  compress/decompress/codec_seal/inspect_container/
   read_dims/stage_bytes names) must be ``[[nodiscard]]``: dropping a
   codec result is always a bug. (qip_lint has a line-regex twin for
   declarations; this AST form sees through multi-line heads.)
@@ -33,7 +33,7 @@ HYGIENE_DIRS = ("src/compressors/", "src/encode/", "src/lossless/",
 
 API_NAME_RE = re.compile(
     r"^\w*(?:encode|decode|compress|decompress)\w*$"
-    r"|^codec_seal$|^codec_open\w*$|^inspect_container$"
+    r"|^codec_seal$|^inspect_container$"
     r"|^read_dims$|^stage_bytes$")
 
 REGISTRY_NAME_RE = re.compile(r"^(?:find|make|create)_\w*(?:compressor|codec)")

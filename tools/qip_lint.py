@@ -83,7 +83,7 @@ CODEC_OPTIONS_HOME = "src/compressors/core/options.hpp"
 # Codec-ish API names whose non-void results must not be silently dropped.
 NODISCARD_NAME = (
     r"\w*(?:encode|decode|compress|decompress)\w*"
-    r"|codec_seal|codec_open\w*|inspect_container|read_dims|stage_bytes"
+    r"|codec_seal|inspect_container|read_dims|stage_bytes"
 )
 # A declaration line: a return-type token (identifier/template/ref char)
 # followed by whitespace, then the API name and an open paren. Call sites

@@ -74,13 +74,8 @@ Dims parse_dims(const std::string& s) {
     e[rank++] = static_cast<std::size_t>(std::stoull(s.substr(pos, next - pos)));
     pos = next + 1;
   }
-  switch (rank) {
-    case 1: return Dims{e[0]};
-    case 2: return Dims{e[0], e[1]};
-    case 3: return Dims{e[0], e[1], e[2]};
-    case 4: return Dims{e[0], e[1], e[2], e[3]};
-    default: usage("bad --dims");
-  }
+  if (rank == 0) usage("bad --dims");
+  return Dims(rank, e);
 }
 
 struct Args {
@@ -168,32 +163,6 @@ int do_compress(const Args& a) {
   return a.has("--double") ? do_compress_t<double>(a) : do_compress_t<float>(a);
 }
 
-template <class T>
-int do_decompress_t(const Args& a) {
-  const auto arc = read_bytes(a.require("-i"));
-  Timer t;
-  Field<T> out = [&] {
-    // Chunked archives carry their own magic.
-    ByteReader r(arc);
-    if (r.get<std::uint32_t>() == kChunkedMagic)
-      return chunked_decompress<T>(arc);
-    const CompressorEntry& e = find_compressor_for(arc);
-    if constexpr (std::is_same_v<T, float>)
-      return e.decompress_f32(arc);
-    else
-      return e.decompress_f64(arc);
-  }();
-  const double sec = t.seconds();
-  const std::string out_path = a.require("-o");
-  if (a.has("--raw"))
-    write_raw(out_path, out);
-  else
-    write_qfld(out_path, out);
-  std::printf("decompressed %s  %.2f MB/s -> %s\n", out.dims().str().c_str(),
-              out.size() * sizeof(T) / sec / 1e6, out_path.c_str());
-  return 0;
-}
-
 void print_partial_stats(const PartialDecodeStats& st) {
   const double pct = st.payload_bytes_total
                          ? 100.0 * static_cast<double>(st.payload_bytes_read) /
@@ -201,37 +170,6 @@ void print_partial_stats(const PartialDecodeStats& st) {
                          : 100.0;
   std::printf("  payload read: %zu of %zu bytes (%.1f%%)\n",
               st.payload_bytes_read, st.payload_bytes_total, pct);
-}
-
-template <class T>
-void write_field_output(const Args& a, const Field<T>& out) {
-  const std::string out_path = a.require("-o");
-  if (a.has("--raw"))
-    write_raw(out_path, out);
-  else
-    write_qfld(out_path, out);
-}
-
-template <class T>
-int do_preview_t(const Args& a) {
-  const auto arc = read_bytes(a.require("-i"));
-  const int level = std::stoi(a.require("--level"));
-  const CompressorEntry& e = find_compressor_for(arc);
-  PartialDecodeStats st;
-  Timer t;
-  Field<T> out = [&] {
-    if constexpr (std::is_same_v<T, float>)
-      return e.decompress_preview_f32(arc, level, &st);
-    else
-      return e.decompress_preview_f64(arc, level, &st);
-  }();
-  const double sec = t.seconds();
-  write_field_output(a, out);
-  std::printf("preview level %d: %s  %.2f MB/s\n", level,
-              out.dims().str().c_str(),
-              out.size() * sizeof(T) / sec / 1e6);
-  if (a.has("--stats")) print_partial_stats(st);
-  return 0;
 }
 
 /// "A:B,A:B,..." per leading axis; unmentioned axes span the full
@@ -254,25 +192,43 @@ Box parse_region(const std::string& s, const Dims& dims) {
   return b;
 }
 
+/// decompress, preview and extract: one decode request each, through the
+/// archive's registry entry. Chunked archives serve full decodes only.
 template <class T>
-int do_extract_t(const Args& a) {
+int do_decode_t(const Args& a, const std::string& cmd) {
   const auto arc = read_bytes(a.require("-i"));
-  const ContainerInfo info = inspect_container(arc);
-  const Box box = parse_region(a.require("--region"), info.dims);
-  const CompressorEntry& e = find_compressor_for(arc);
+  DecodeRequest req;
+  Dims field_dims;
+  if (cmd == "preview") {
+    req = DecodeRequest::preview(std::stoi(a.require("--level")));
+  } else if (cmd == "extract") {
+    field_dims = inspect_container(arc).dims;
+    req = DecodeRequest::region(
+        parse_region(a.require("--region"), field_dims));
+  }
   PartialDecodeStats st;
   Timer t;
-  Field<T> out = [&] {
-    if constexpr (std::is_same_v<T, float>)
-      return e.decompress_region_f32(arc, box, &st);
-    else
-      return e.decompress_region_f64(arc, box, &st);
-  }();
-  const double sec = t.seconds();
-  write_field_output(a, out);
-  std::printf("extracted %s of %s  %.2f MB/s\n", out.dims().str().c_str(),
-              info.dims.str().c_str(), out.size() * sizeof(T) / sec / 1e6);
-  if (a.has("--stats")) print_partial_stats(st);
+  const Field<T> out =
+      req.kind == DecodeRequest::Kind::kFull && is_chunked(arc)
+          ? chunked_decompress<T>(arc)
+          : find_compressor_for(arc).decode<T>(arc, req, nullptr, &st);
+  const double mbps = out.size() * sizeof(T) / t.seconds() / 1e6;
+  const std::string out_path = a.require("-o");
+  if (a.has("--raw"))
+    write_raw(out_path, out);
+  else
+    write_qfld(out_path, out);
+  const std::string dims = out.dims().str();
+  if (cmd == "preview")
+    std::printf("preview level %d: %s  %.2f MB/s\n", req.level, dims.c_str(),
+                mbps);
+  else if (cmd == "extract")
+    std::printf("extracted %s of %s  %.2f MB/s\n", dims.c_str(),
+                field_dims.str().c_str(), mbps);
+  else
+    std::printf("decompressed %s  %.2f MB/s -> %s\n", dims.c_str(), mbps,
+                out_path.c_str());
+  if (cmd != "decompress" && a.has("--stats")) print_partial_stats(st);
   return 0;
 }
 
@@ -410,44 +366,33 @@ void print_partial_capabilities(const ContainerReader& in,
 
 int do_info(const Args& a) {
   const auto arc = read_bytes(a.require("-i"));
-  if (arc.size() >= 4) {
-    ByteReader r(arc);
-    if (r.get<std::uint32_t>() == kChunkedMagic) {
-      const std::uint8_t dtype = r.get<std::uint8_t>();
-      const Dims dims = read_dims(r);
-      const std::size_t slab = static_cast<std::size_t>(r.get_varint());
-      const std::size_t nchunks = static_cast<std::size_t>(r.get_varint());
-      const std::size_t name_len = static_cast<std::size_t>(r.get_varint());
-      if (name_len > r.remaining())
-        throw DecodeError("chunked archive name overruns buffer");
-      const auto name_bytes = r.get_bytes(name_len);
-      const std::string name(name_bytes.begin(), name_bytes.end());
-      std::printf(
-          "chunked qip archive: codec=%s  dtype=%s  dims=%s  %zu bytes\n"
-          "  slab=%zu  chunks=%zu\n",
-          name.c_str(), dtype_str(dtype), dims.str().c_str(), arc.size(),
-          slab, nchunks);
-      // Aggregate the slabs' stage and payload-level breakdowns so a
-      // chunked archive is as inspectable as a plain one.
-      std::map<std::string, std::size_t> stage_bytes;
-      std::map<int, std::size_t, std::greater<int>> level_bytes;
-      std::size_t payload_total = 0;
-      for (std::size_t c = 0; c < nchunks; ++c) {
-        const ContainerReader in(r.get_block());
-        for (const auto& s : in.sections())
-          stage_bytes[stage_name(s.id)] += s.size;
-        payload_total += in.payload_bytes_declared();
-        for (const ChunkEntry& ce : in.directory().chunks)
-          level_bytes[ce.level] += static_cast<std::size_t>(ce.length);
-      }
-      for (const auto& [sname, size] : stage_bytes)
-        std::printf("  stage %-11s %zu bytes (all slabs)\n", sname.c_str(),
-                    size);
-      for (const auto& [level, size] : level_bytes)
-        std::printf("  level %-2d %8zu bytes (%5.1f%% of payload, all slabs)\n",
-                    level, size, pct_of(size, payload_total));
-      return 0;
+  if (is_chunked(arc)) {
+    const ChunkedInfo ci = inspect_chunked(arc);
+    std::printf(
+        "chunked qip archive: codec=%s  dtype=%s  dims=%s  %zu bytes\n"
+        "  slab=%zu  chunks=%zu\n",
+        ci.compressor.c_str(), dtype_str(ci.dtype), ci.dims.str().c_str(),
+        arc.size(), ci.slab, ci.parts.size());
+    // Aggregate the slabs' stage and payload-level breakdowns so a
+    // chunked archive is as inspectable as a plain one.
+    std::map<std::string, std::size_t> stage_bytes;
+    std::map<int, std::size_t, std::greater<int>> level_bytes;
+    std::size_t payload_total = 0;
+    for (const auto part : ci.parts) {
+      const ContainerReader in(part);
+      for (const auto& s : in.sections())
+        stage_bytes[stage_name(s.id)] += s.size;
+      payload_total += in.payload_bytes_declared();
+      for (const ChunkEntry& ce : in.directory().chunks)
+        level_bytes[ce.level] += static_cast<std::size_t>(ce.length);
     }
+    for (const auto& [sname, size] : stage_bytes)
+      std::printf("  stage %-11s %zu bytes (all slabs)\n", sname.c_str(),
+                  size);
+    for (const auto& [level, size] : level_bytes)
+      std::printf("  level %-2d %8zu bytes (%5.1f%% of payload, all slabs)\n",
+                  level, size, pct_of(size, payload_total));
+    return 0;
   }
   // inspect_container throws UnknownCodecError (with the offending
   // version) on a format this build cannot read; an unknown codec id is
@@ -641,15 +586,9 @@ int main(int argc, char** argv) {
   try {
     const Args a = parse_args(argc, argv, 2);
     if (cmd == "compress") return do_compress(a);
-    if (cmd == "decompress")
-      return a.has("--double") ? do_decompress_t<double>(a)
-                               : do_decompress_t<float>(a);
-    if (cmd == "preview")
-      return a.has("--double") ? do_preview_t<double>(a)
-                               : do_preview_t<float>(a);
-    if (cmd == "extract")
-      return a.has("--double") ? do_extract_t<double>(a)
-                               : do_extract_t<float>(a);
+    if (cmd == "decompress" || cmd == "preview" || cmd == "extract")
+      return a.has("--double") ? do_decode_t<double>(a, cmd)
+                               : do_decode_t<float>(a, cmd);
     if (cmd == "gen") return do_gen(a);
     if (cmd == "eval") return do_eval(a);
     if (cmd == "info") return do_info(a);
