@@ -109,6 +109,37 @@ struct DecodeRequest {
   }
 };
 
+/// Points of `box` (clipped to the domain) whose every coordinate is a
+/// multiple of 2^`log_step`.
+inline std::size_t grid_points_in_box(const Dims& dims, const Box& box,
+                                      int log_step) {
+  std::size_t n = 1;
+  for (int a = 0; a < dims.rank(); ++a) {
+    const std::size_t hi =
+        box.hi[a] < dims.extent(a) ? box.hi[a] : dims.extent(a);
+    if (box.lo[a] >= hi) return 0;
+    if (log_step >= 63) {  // only coordinate 0 is such a multiple
+      n *= box.lo[a] == 0 ? 1 : 0;
+      continue;
+    }
+    const std::size_t s = std::size_t{1} << log_step;
+    const std::size_t first = (box.lo[a] + s - 1) / s * s;
+    n *= first < hi ? (hi - 1 - first) / s + 1 : 0;
+  }
+  return n;
+}
+
+/// Points of interpolation level `level` (>= 1) inside `box`: those on
+/// the 2^(level-1) grid but not on the 2^level grid. The stages of a
+/// level partition exactly this set whatever the plan, so it is the
+/// symbol count of the level's chunk for that box — a tile chunk's
+/// count is fixed by the grid and the dims alone.
+inline std::size_t level_point_count(const Dims& dims, int level,
+                                     const Box& box) {
+  return grid_points_in_box(dims, box, level - 1) -
+         grid_points_in_box(dims, box, level);
+}
+
 /// Copy the strided sub-grid src[lo + c * step], c < dst_dims, into the
 /// dense array `dst` of shape `dst_dims`: a crop at step 1, a level
 /// decimation from lo 0. Axes beyond the rank need lo 0.

@@ -62,20 +62,29 @@ void for_each_outer(std::size_t n, F&& body) {
   pool.parallel_for(n, body);
 }
 
-/// Fill a rank-3 field from a pointwise generator of normalized coords.
+/// Fill a field from a pointwise generator of normalized coords (z, y,
+/// x) over its last three axes. A rank-4 field's first two axes span z
+/// together: it is the rank-3 field of extents (e0 * e1, e2, e3) with
+/// that long axis split in two, so every point gets a value.
 template <class T, class F>
 void fill3(Field<T>& f, F&& fn) {
   const Dims& d = f.dims();
-  const double nz = static_cast<double>(std::max<std::size_t>(d.extent(0) - 1, 1));
-  const double ny = static_cast<double>(std::max<std::size_t>(d.extent(1) - 1, 1));
-  const double nx = static_cast<double>(std::max<std::size_t>(d.extent(2) - 1, 1));
-  for_each_outer(d.extent(0), [&](std::size_t zi) {
+  const int a = d.rank() == 4 ? 1 : 0;  // first of the three (z, y, x) axes
+  const std::size_t ez = a ? d.extent(0) * d.extent(1) : d.extent(0);
+  const std::size_t ey = d.extent(a + 1);
+  const std::size_t ex = d.extent(a + 2);
+  const double nz = static_cast<double>(std::max<std::size_t>(ez - 1, 1));
+  const double ny = static_cast<double>(std::max<std::size_t>(ey - 1, 1));
+  const double nx = static_cast<double>(std::max<std::size_t>(ex - 1, 1));
+  T* const out = f.data();
+  for_each_outer(ez, [&](std::size_t zi) {
     const double z = zi / nz;
-    for (std::size_t yi = 0; yi < d.extent(1); ++yi) {
+    T* const slab = out + zi * ey * ex;
+    for (std::size_t yi = 0; yi < ey; ++yi) {
       const double y = yi / ny;
-      for (std::size_t xi = 0; xi < d.extent(2); ++xi) {
+      for (std::size_t xi = 0; xi < ex; ++xi) {
         const double x = xi / nx;
-        f.at(zi, yi, xi) = static_cast<T>(fn(z, y, x));
+        slab[yi * ex + xi] = static_cast<T>(fn(z, y, x));
       }
     }
   });

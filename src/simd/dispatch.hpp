@@ -3,7 +3,7 @@
 // Runtime-dispatched SIMD kernel layer.
 //
 // The hot inner loops of the pipeline — the LinearQuantizer encode and
-// recover paths, the row kernels of InterpEngine::run_stage_seq (stride-1
+// recover paths, the row kernels of InterpEngine::run_stage_slice (stride-1
 // directly; strided cross-axis rows through a cache-blocked gather into
 // contiguous scratch), the 2-D stage-grid Lorenzo QP transform, and the
 // byte/symbol loops of the entropy stages (Huffman histogram + max scan,
@@ -96,7 +96,7 @@ void set_tier_cap_override(int tier);
 /// Below this many points a row segment is not worth a kernel call.
 inline constexpr std::size_t kMinKernelPoints = 16;
 
-/// One stage-row work item handed from InterpEngine::run_stage_seq to a
+/// One stage-row work item handed from InterpEngine::run_stage_slice to a
 /// row kernel. Describes `count` stage points starting at linear element
 /// index `i0`, spaced `estep` elements apart, all sharing one PredKind
 /// stencil with arm `st` and one QP neighborhood `nb`. The engine

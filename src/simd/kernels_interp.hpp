@@ -1,6 +1,6 @@
 #pragma once
 
-// Vectorized stage-row kernels for InterpEngine::run_stage_seq,
+// Vectorized stage-row kernels for InterpEngine::run_stage_slice,
 // templated over a vector trait V. Include only from the vector TUs in
 // this directory.
 //

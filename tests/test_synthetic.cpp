@@ -49,6 +49,24 @@ TEST(Synthetic, FieldsDifferByIndexAndSeed) {
   EXPECT_GT(dac, 0.0);
 }
 
+// A rank-4 field of a rank-3 dataset is that dataset's rank-3 field
+// with its first axis split in two: every one of the four axes is
+// filled, and no slab along the leading axis is left at zero.
+TEST(Synthetic, Rank4FieldsFillEveryAxis) {
+  for (const DatasetId id : {DatasetId::kMiranda, DatasetId::kCESM}) {
+    const auto f4 = make_field(id, 0, Dims{4, 4, 4, 4}, 1);
+    const auto f3 = make_field(id, 0, Dims{16, 4, 4}, 1);
+    ASSERT_EQ(f4.size(), f3.size());
+    for (std::size_t i = 0; i < f4.size(); ++i) ASSERT_EQ(f4[i], f3[i]) << i;
+    for (std::size_t w = 0; w < 4; ++w) {
+      bool nonzero = false;
+      for (std::size_t i = w * 64; i < (w + 1) * 64; ++i)
+        nonzero = nonzero || f4[i] != 0.f;
+      EXPECT_TRUE(nonzero) << "slab " << w;
+    }
+  }
+}
+
 TEST(Synthetic, AllDatasetsFiniteAndNonConstant) {
   const Dims d3{20, 24, 28};
   for (const auto& spec : dataset_specs()) {

@@ -68,7 +68,8 @@ Dims parse_dims(const std::string& s) {
   std::size_t e[kMaxRank] = {0, 0, 0, 0};
   int rank = 0;
   std::size_t pos = 0;
-  while (pos < s.size() && rank < kMaxRank) {
+  while (pos < s.size()) {
+    if (rank == kMaxRank) usage("bad --dims: rank above 4");
     std::size_t next = s.find('x', pos);
     if (next == std::string::npos) next = s.size();
     e[rank++] = static_cast<std::size_t>(std::stoull(s.substr(pos, next - pos)));
