@@ -78,6 +78,14 @@ struct InterpPlan {
            level_blockwise[static_cast<std::size_t>(level - 1)] != 0;
   }
 
+  /// Whether any level runs block-wise. Such a plan is never tiled: its
+  /// blocks already reorder the traversal (see interp_tile_layout).
+  bool any_blockwise() const {
+    for (std::size_t l = 1; l <= levels.size(); ++l)
+      if (blockwise(static_cast<int>(l))) return true;
+    return false;
+  }
+
   /// Uniform plan: same LevelPlan at every level.
   static InterpPlan uniform(int level_count, const LevelPlan& lp) {
     InterpPlan p;
