@@ -337,43 +337,34 @@ template <class T>
   return out;
 }
 
-/// Run `walk(field)` on the field a request decodes into: `out` itself
-/// for a full request; otherwise a full-size scratch field, whose
-/// preview grid or region box is then copied into `out`, with the
-/// payload bytes read reported in `stats`.
-template <class T, class Walk>
-void decode_via_field(const ContainerReader& in, const DecodeRequest& req,
-                      T* out, PartialDecodeStats* stats, Walk&& walk) {
-  if (req.kind == DecodeRequest::Kind::kFull) return walk(out);
-  const Dims& dims = in.dims();
-  Field<T> full(dims);
-  walk(full.data());
-  if (stats) {
-    stats->payload_bytes_read = in.payload_bytes_read();
-    stats->payload_bytes_total = in.payload_bytes_declared();
-  }
-  const bool preview = req.kind == DecodeRequest::Kind::kPreview;
-  const Box b = preview ? Box{} : validate_region(req.box, dims);
-  copy_box(full.data(), dims, b.lo,
-           preview ? std::size_t{1} << (req.level - 1) : 1, out,
-           req.output_dims(dims));
+/// Report a partial request's payload share and decode scratch in
+/// `stats`; a full decode reports nothing.
+inline void report_partial(const ContainerReader& in, const DecodeRequest& req,
+                           PartialDecodeStats* stats,
+                           std::size_t scratch_elems = 0) {
+  if (!stats || req.kind == DecodeRequest::Kind::kFull) return;
+  stats->payload_bytes_read = in.payload_bytes_read();
+  stats->payload_bytes_total = in.payload_bytes_declared();
+  stats->scratch_elems = scratch_elems;
 }
 
 /// A region's tile pass: decode the tile chunks from `first_tiled` on
-/// that intersect `b` into `field`, whose untiled levels are already
-/// final. Chunks stay in (level desc, tile asc) order — the same
-/// traversal a full decode runs. Within one level band the intersecting
-/// tiles write disjoint point sets and read only their own region plus
-/// coarser levels (encode ran under the cross-tile stencil guard), so
-/// the band fans out over the pool, each chunk decoding through its own
-/// quantizer view seeked from the directory's outlier prefix sums. The
-/// barrier between bands keeps the coarse-to-fine ordering; symbol
-/// counts are validated against the tile geometry inside decode_tile.
+/// that intersect `b` into `sub`, the sub-field `sub_box` of the archive
+/// whose known grid is already in place. Chunks stay in (level desc,
+/// tile asc) order — the same traversal a full decode runs. Within one
+/// level band the intersecting tiles write disjoint point sets and read
+/// only their own region plus the known grid (encode ran under the
+/// cross-tile stencil guard), so the band fans out over the pool, each
+/// chunk decoding through its own quantizer view seeked from the
+/// directory's outlier prefix sums. The barrier between bands keeps the
+/// coarse-to-fine ordering; symbol counts are validated against the
+/// tile geometry inside decode_tile.
 template <class T>
 void decode_region_tiles(const ContainerReader& in, const Box& b,
+                         const Box& sub_box, const Dims& sub_dims,
                          std::size_t first_tiled, ThreadPool* pool,
                          const InterpPlan& plan, const InterpCommon& c,
-                         const LinearQuantizer<T>& quant, T* field) {
+                         const LinearQuantizer<T>& quant, T* sub) {
   const Dims& dims = in.dims();
   const TileLayout& tiles = in.directory().tiling;
   const std::vector<ChunkEntry>& chunks = in.directory().chunks;
@@ -403,9 +394,13 @@ void decode_region_tiles(const ContainerReader& in, const Box& b,
           huffman_decode(in.chunk_bytes(i), p);
       LinearQuantizer<T> vq = LinearQuantizer<T>::view_of(quant);
       vq.set_outlier_cursor(ce.outlier_start);
-      InterpEngine<T>::decode_tile(syms, dims, plan, c.error_bound, vq, c.qp,
-                                   field, tiles, ce.level,
-                                   grid.box(ce.tile, dims), codes_need);
+      Box tb = grid.box(ce.tile, dims);
+      for (int a = 0; a < dims.rank(); ++a) {
+        tb.lo[a] -= sub_box.lo[a];
+        tb.hi[a] -= sub_box.lo[a];
+      }
+      InterpEngine<T>::decode_tile(syms, sub_dims, plan, c.error_bound, vq,
+                                   c.qp, sub, tiles, ce.level, tb, codes_need);
     };
     if (pool && picked.size() > 1) {
       pool->parallel_for(picked.size(), [&](std::size_t k) {
@@ -418,11 +413,73 @@ void decode_region_tiles(const ContainerReader& in, const Box& b,
   }
 }
 
-/// The standard interpolation decode, for every request kind: walk the
-/// levels down to the request's stop level (1 for a full decode, the
-/// preview level, or the level above the tiled band for a region) from
-/// the coarse chunk prefix that holds them, then run a region's tile
-/// pass. Preview and region are bit-identical to decimating or cropping
+/// A region decode in buffers the size of the request, returning the
+/// elements they hold. The untiled band decodes on its K-lattice (K =
+/// the known stride; 1/K^rank of the field). Its points are copied into
+/// the sub-field B: the hull of the tiles the box meets, widened by K
+/// (K+1 on the high side) and clipped to the domain. The tile pass runs
+/// in B, which is then cropped into `out`. B suffices: a tiled stencil
+/// reaches at most 3 * 2^(max_level-1) = 1.5K and leaves its tile only
+/// for known-grid points, so the farthest point it reads lies K outside
+/// the tile. B.lo is a multiple of K, so every boundary and known-grid
+/// test answers alike in B's coordinates and the field's, and
+/// decode_tile runs unchanged on (B, tile box - B.lo).
+template <class T>
+[[nodiscard]] std::size_t decode_region(const ContainerReader& in,
+                                        const Box& b, ThreadPool* pool,
+                                        const InterpPlan& plan,
+                                        const InterpCommon& c,
+                                        LinearQuantizer<T>& quant, T* out) {
+  const Dims& dims = in.dims();
+  const TileLayout& tiles = in.directory().tiling;
+  const int stop = tiles.max_level + 1;
+  const std::size_t K = tiles.known_stride();
+  const std::size_t prefix = level_prefix(in, stop);
+  Field<T> known(DecodeRequest::preview(stop).output_dims(dims));
+  InterpEngine<T>::decode(read_symbols_stage(in, prefix, pool), dims, plan,
+                          c.error_bound, quant, c.qp, known.data(), &tiles,
+                          stop, pool);
+
+  const std::size_t t = tiles.tile_size;
+  Box sub_box;
+  std::array<std::size_t, kMaxRank> ext{1, 1, 1, 1};
+  std::array<std::size_t, kMaxRank> klo{}, kn{1, 1, 1, 1};
+  for (int a = 0; a < dims.rank(); ++a) {
+    const std::size_t lo = b.lo[a] / t * t;
+    const std::size_t hi = std::min((b.hi[a] + t - 1) / t * t, dims.extent(a));
+    sub_box.lo[a] = lo - std::min(lo, K);
+    sub_box.hi[a] = std::min(hi + K + 1, dims.extent(a));
+    ext[a] = sub_box.hi[a] - sub_box.lo[a];
+    klo[a] = sub_box.lo[a] / K;
+    kn[a] = (sub_box.hi[a] - 1) / K - klo[a] + 1;
+  }
+  Field<T> sub(Dims(dims.rank(), ext));
+  const Dims& sd = sub.dims();
+  const Dims& kd = known.dims();
+  std::array<std::size_t, kMaxRank> q{};
+  for (q[0] = 0; q[0] < kn[0]; ++q[0])
+    for (q[1] = 0; q[1] < kn[1]; ++q[1])
+      for (q[2] = 0; q[2] < kn[2]; ++q[2])
+        for (q[3] = 0; q[3] < kn[3]; ++q[3])
+          sub[sd.index(q[0] * K, q[1] * K, q[2] * K, q[3] * K)] =
+              known[kd.index(klo[0] + q[0], klo[1] + q[1], klo[2] + q[2],
+                             klo[3] + q[3])];
+  decode_region_tiles(in, b, sub_box, sd, prefix, pool, plan, c, quant,
+                      sub.data());
+
+  std::array<std::size_t, kMaxRank> at{};
+  for (int a = 0; a < dims.rank(); ++a) at[a] = b.lo[a] - sub_box.lo[a];
+  copy_box(sub.data(), sd, at, 1, out,
+           DecodeRequest::region(b).output_dims(dims));
+  return known.size() + sub.size();
+}
+
+/// The standard interpolation decode, for every request kind, each in
+/// buffers the size of the request. A full decode walks every level
+/// into `out`; a preview walks the levels down to its own on the
+/// level-L lattice, which is `out` itself; a region runs decode_region.
+/// Each reads only the coarse chunk prefix (and a region's tiles) it
+/// needs. Preview and region are bit-identical to decimating or cropping
 /// a full decode: a grid point is final once its own level is walked,
 /// and encode ran the tile traversal under the same cross-tile stencil
 /// guard.
@@ -435,28 +492,26 @@ void interp_decode(const ContainerReader& in, const DecodeRequest& req,
   // The encoder tiles no block-wise plan (interp_tile_layout).
   if (tiles && plan.any_blockwise())
     throw DecodeError("tiled archive with a block-wise plan");
-  int stop = 1;
-  if (req.kind == DecodeRequest::Kind::kPreview) {
-    if (req.level > static_cast<int>(plan.levels.size()))
-      throw DecodeError("preview level outside the archive's level range");
-    stop = req.level;
-  } else if (req.kind == DecodeRequest::Kind::kRegion) {
+  std::size_t scratch = 0;
+  if (req.kind == DecodeRequest::Kind::kRegion) {
     if (!tiles)
       throw DecodeError(
           "archive has no tile directory; re-compress with a tile size to "
           "enable region decode");
-    stop = tiles->max_level + 1;
+    scratch = decode_region(in, validate_region(req.box, in.dims()), pool,
+                            plan, c, quant, out);
+  } else {
+    int stop = 1;
+    if (req.kind == DecodeRequest::Kind::kPreview) {
+      if (req.level > static_cast<int>(plan.levels.size()))
+        throw DecodeError("preview level outside the archive's level range");
+      stop = req.level;
+    }
+    InterpEngine<T>::decode(read_symbols_stage(in, level_prefix(in, stop), pool),
+                            in.dims(), plan, c.error_bound, quant, c.qp, out,
+                            tiles, stop, pool);
   }
-  decode_via_field(in, req, out, stats, [&](T* field) {
-    const std::size_t prefix = level_prefix(in, stop);
-    const std::vector<std::uint32_t> symbols =
-        read_symbols_stage(in, prefix, pool);
-    InterpEngine<T>::decode(symbols, in.dims(), plan, c.error_bound, quant,
-                            c.qp, field, tiles, stop, pool);
-    if (req.kind == DecodeRequest::Kind::kRegion)
-      decode_region_tiles(in, validate_region(req.box, in.dims()), prefix,
-                          pool, plan, c, quant, field);
-  });
+  report_partial(in, req, stats, scratch);
 }
 
 /// interp_decode for the standard kConfig layout

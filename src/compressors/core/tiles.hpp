@@ -26,11 +26,16 @@ namespace qip {
 inline constexpr std::uint64_t kWholeDomainTile = ~std::uint64_t{0};
 
 /// How much of the payload a partial decode actually touched — the
-/// figure the progressive format exists to shrink. Surfaced by `qipc
-/// preview/extract --stats` and asserted on by the progressive tests.
+/// figure the progressive format exists to shrink — and how much decode
+/// memory it took besides its output. Surfaced by `qipc preview/extract
+/// --stats` and asserted on by the progressive tests.
 struct PartialDecodeStats {
   std::size_t payload_bytes_read = 0;   ///< compressed chunk bytes consumed
   std::size_t payload_bytes_total = 0;  ///< payload the archive declares
+  /// Elements of the decode buffers the request allocated besides its
+  /// output: 0 for a preview, which decodes straight into it; the
+  /// coarse lattice plus the tile sub-field for a region.
+  std::size_t scratch_elems = 0;
 };
 
 /// Half-open box [lo, hi) in field coordinates. Axes beyond the field's

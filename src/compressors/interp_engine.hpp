@@ -114,11 +114,12 @@ class InterpEngine {
   /// consumes (hostile archives must not drive the cursor out of bounds).
   ///
   /// `tiles` must replay the layout the archive was encoded under.
-  /// `stop_level` > 1 decodes only the levels coarser than or equal to
-  /// it — the progressive-preview path: the traversal consumes exactly
-  /// grid_point_count(dims, stop_level) symbols and fills exactly the
-  /// points whose coordinates are multiples of 2^(stop_level-1); other
-  /// points of `data` are left untouched.
+  /// `stop_level` = L > 1 decodes only the levels >= L — the progressive
+  /// preview: the traversal consumes exactly grid_point_count(dims, L)
+  /// symbols and fills the level-L lattice, the points c * 2^(L-1), into
+  /// `data` as a dense array of shape
+  /// DecodeRequest::preview(L).output_dims(dims) (see Lattice). Every
+  /// value is bit-identical to that point of a full decode.
   static void decode(std::span<const std::uint32_t> symbols, const Dims& dims,
                      const InterpPlan& plan, double base_eb,
                      LinearQuantizer<T>& quant, const QPConfig& qp, T* data,
@@ -132,10 +133,14 @@ class InterpEngine {
   }
 
   /// Decode the symbols of one tile chunk (one level, one tile box) into
-  /// `data`, for the region path: the untiled levels must already be
-  /// decoded into `data` (via decode() with stop_level just above the
-  /// tiled levels), and coarser tiled levels of the same tile must have
-  /// been applied first. The caller positions the quantizer's outlier
+  /// `data`, for the region path: the known grid (the untiled levels)
+  /// must already be in `data`, and coarser tiled levels of the same
+  /// tile must have been applied first. `dims` may be a sub-field of the
+  /// archive's whose origin is a multiple of the known stride, with
+  /// `box` in its coordinates: every boundary and known-grid test then
+  /// answers as in the field, provided the sub-field holds the known
+  /// grid the tile's stencils reach (see decode_region in
+  /// core/driver.hpp). The caller positions the quantizer's outlier
   /// cursor from the chunk directory, and passes `codes_need` =
   /// tile_codes_needed(dims, plan, qp, tiles, 1), computed once for all
   /// the chunks of a region so they share one buffer per thread. Throws
@@ -155,7 +160,8 @@ class InterpEngine {
     const LevelPlan& lp = plan.levels[static_cast<std::size_t>(level - 1)];
     quant.set_error_bound(base_eb * lp.eb_scale);
     std::size_t cursor = 0;
-    run_tile<false>(data, dims, lp, level, quant, qp, symbols.data(), cursor,
+    run_tile<false>(data, Lattice::of(dims, 1), lp, level, quant, qp,
+                    symbols.data(), cursor,
                     codes_need ? scratch_cache<std::uint32_t>(codes_need)
                                : nullptr,
                     nullptr, box, tiles.known_stride());
@@ -227,9 +233,39 @@ class InterpEngine {
 
   static constexpr std::size_t kNoBlock = ~std::size_t{0};
 
+  /// The array a walk runs on: the field itself (shift 0), or for a
+  /// stop-level-L decode the level-L lattice — the field points whose
+  /// every coordinate is a multiple of S = 2^shift, shift = L - 1,
+  /// stored densely. Every field length the walk uses (stage stride, box
+  /// and tile edge, known stride) divides by S on the lattice, and
+  /// a point x = x'·S passes `x + k·s < n` exactly when x' + k·s/S <
+  /// ceil(n/S), so stencil kinds, QP neighbors and symbol counts match
+  /// the full-size walk's at every point. Plans, error bounds and the QP
+  /// gate keep the true level; `field` keeps the QP axis choice and the
+  /// HPEZ block grid.
+  struct Lattice {
+    Dims dims;   ///< the array walked
+    Dims field;  ///< the field the archive describes
+    int shift = 0;
+
+    static Lattice of(const Dims& field, int stop_level) {
+      return {DecodeRequest::preview(stop_level).output_dims(field), field,
+              stop_level - 1};
+    }
+    /// Grid spacing of `level` (>= shift + 1) on the lattice.
+    std::size_t stride(int level) const {
+      return std::size_t{1} << (level - 1 - shift);
+    }
+    /// A field coordinate bound mapped onto the lattice: ceil(v / S).
+    std::size_t up(std::size_t v) const {
+      return (v + (std::size_t{1} << shift) - 1) >> shift;
+    }
+  };
+
   /// Fill the StageCtx QP fields from the shared axis-assignment rule.
-  static void assign_qp_axes(StageCtx& ctx, const Dims& dims) {
-    const QPAxes ax = qip::assign_qp_axes(ctx.g, dims, ctx.back_axis);
+  static void assign_qp_axes(StageCtx& ctx, const Lattice& lat) {
+    const QPAxes ax =
+        qip::assign_qp_axes(ctx.g, lat.dims, ctx.back_axis, lat.field);
     ctx.back_axis = ax.back;
     ctx.left_axis = ax.left;
     ctx.top_axis = ax.top;
@@ -239,21 +275,23 @@ class InterpEngine {
   }
 
   /// Build the sequential-order stage for position k of `order`.
-  static StageCtx make_seq_stage(const Dims& dims, std::size_t stride,
+  static StageCtx make_seq_stage(const Lattice& lat, std::size_t stride,
                                  const LevelPlan& lp, int k, int level) {
+    const Dims& dims = lat.dims;
     int order[kMaxRank] = {0, 1, 2, 3};
     for (int a = 0; a < dims.rank(); ++a) order[a] = lp.order[a];
     StageCtx ctx;
     ctx.g = make_stage_grid(dims, stride,
                             std::span<const int>(order, dims.rank()), k, level);
     ctx.back_axis = ctx.g.dim;
-    assign_qp_axes(ctx, dims);
+    assign_qp_axes(ctx, lat);
     return ctx;
   }
 
   /// Build the parity-class stage for axis set `mask` (HPEZ-like md mode).
-  static StageCtx make_md_stage(const Dims& dims, std::size_t stride,
+  static StageCtx make_md_stage(const Lattice& lat, std::size_t stride,
                                 std::uint32_t mask, int level) {
+    const Dims& dims = lat.dims;
     StageCtx ctx;
     ctx.md_mask = mask;
     ctx.g.stride = stride;
@@ -274,7 +312,7 @@ class InterpEngine {
       }
     }
     ctx.back_axis = ctx.g.dim;
-    assign_qp_axes(ctx, dims);
+    assign_qp_axes(ctx, lat);
     return ctx;
   }
 
@@ -346,10 +384,9 @@ class InterpEngine {
                                      const Box& box) {
     if (!qp_active_at(qp, level)) return 0;
     std::size_t m = 0;
-    for_each_stage(dims, std::size_t{1} << (level - 1), lp, level,
-                   [&](const StageCtx& ctx) {
-                     m = std::max(m, stage_shape(dims, ctx.g, box).total);
-                   });
+    for_each_stage(Lattice::of(dims, 1), lp, level, [&](const StageCtx& ctx) {
+      m = std::max(m, stage_shape(dims, ctx.g, box).total);
+    });
     return m;
   }
 
@@ -1286,20 +1323,23 @@ class InterpEngine {
     return start + k * step;
   }
 
-  /// Enumerate the stages of `lp` at stride s and feed them to `fn`.
+  /// Enumerate the stages of `lp` at `level` on `lat` and feed them to
+  /// `fn`.
   template <class F>
-  static void for_each_stage(const Dims& dims, std::size_t stride,
-                             const LevelPlan& lp, int level, F&& fn) {
+  static void for_each_stage(const Lattice& lat, const LevelPlan& lp,
+                             int level, F&& fn) {
+    const int rank = lat.dims.rank();
+    const std::size_t stride = lat.stride(level);
     if (!lp.md) {
-      for (int k = 0; k < dims.rank(); ++k)
-        fn(make_seq_stage(dims, stride, lp, k, level));
+      for (int k = 0; k < rank; ++k)
+        fn(make_seq_stage(lat, stride, lp, k, level));
       return;
     }
-    const std::uint32_t nmask = 1u << dims.rank();
-    for (int pc = 1; pc <= dims.rank(); ++pc) {
+    const std::uint32_t nmask = 1u << rank;
+    for (int pc = 1; pc <= rank; ++pc) {
       for (std::uint32_t mask = 1; mask < nmask; ++mask) {
         if (std::popcount(mask) == pc)
-          fn(make_md_stage(dims, stride, mask, level));
+          fn(make_md_stage(lat, stride, mask, level));
       }
     }
   }
@@ -1308,16 +1348,16 @@ class InterpEngine {
   /// order: sequential stages on the row kernels (tile slice), md stages
   /// and the characterization path on the per-point walker.
   template <bool kEncode>
-  static void run_tile(T* data, const Dims& dims, const LevelPlan& lp,
+  static void run_tile(T* data, const Lattice& lat, const LevelPlan& lp,
                        int level, LinearQuantizer<T>& quant,
                        const QPConfig& qp, SymPtr<kEncode> syms,
                        std::size_t& cursor, std::uint32_t* codes,
                        std::vector<std::uint32_t>* sym_spatial,
                        const Box& box, std::size_t known) {
-    const std::size_t stride = std::size_t{1} << (level - 1);
-    for_each_stage(dims, stride, lp, level, [&](const StageCtx& ctx) {
-      run_stage<kEncode>(data, dims, ctx, lp.kind, quant, qp, syms, cursor,
-                         codes, sym_spatial, /*blocked=*/true, box, known);
+    for_each_stage(lat, lp, level, [&](const StageCtx& ctx) {
+      run_stage<kEncode>(data, lat.dims, ctx, lp.kind, quant, qp, syms,
+                         cursor, codes, sym_spatial, /*blocked=*/true, box,
+                         known);
     });
   }
 
@@ -1339,9 +1379,12 @@ class InterpEngine {
   /// The bytes are those of the sequential tile loop at every width.
   /// Each tile walks with the QP codes of the thread it runs on: the
   /// characterization path's `spatial` array, or that thread's scratch
-  /// of `codes_need` entries.
+  /// of `codes_need` entries. On a lattice the tile grid divides by S:
+  /// tile edge and known stride are multiples of S at every tiled level
+  /// >= the stop level, so the grid keeps its tile count and each box
+  /// maps to [lo/S, ceil(hi/S)).
   template <bool kEncode>
-  static void walk_tiles(T* data, const Dims& dims, const LevelPlan& lp,
+  static void walk_tiles(T* data, const Lattice& lat, const LevelPlan& lp,
                          int level, LinearQuantizer<T>& quant,
                          const QPConfig& qp, SymPtr<kEncode> syms,
                          std::size_t& cursor, std::uint32_t* spatial,
@@ -1349,12 +1392,14 @@ class InterpEngine {
                          std::vector<std::uint32_t>* sym_spatial,
                          const TileLayout& tiles,
                          std::vector<SymbolSpan>* spans, ThreadPool* pool) {
-    const TileGrid grid(dims, tiles.tile_size);
+    const Dims& dims = lat.dims;
+    const TileGrid grid(dims, tiles.tile_size >> lat.shift);
     const std::size_t n = grid.total;
-    const std::size_t known = tiles.known_stride();
+    const std::size_t known = tiles.known_stride() >> lat.shift;
     std::vector<std::size_t> at(n + 1, cursor);
     for (std::size_t t = 0; t < n; ++t)
-      at[t + 1] = at[t] + level_point_count(dims, level, grid.box(t, dims));
+      at[t + 1] = at[t] + level_point_count(dims, level - lat.shift,
+                                            grid.box(t, dims));
     auto record = [&](std::size_t t, std::size_t out_begin,
                       std::size_t out_count) {
       if (spans)
@@ -1367,7 +1412,7 @@ class InterpEngine {
               ? spatial
               : scratch_cache<std::uint32_t>(codes_need);
       std::size_t cur = at[t];
-      run_tile<kEncode>(data, dims, lp, level, q, qp, syms, cur, codes,
+      run_tile<kEncode>(data, lat, lp, level, q, qp, syms, cur, codes,
                         sym_spatial, grid.box(t, dims), known);
     };
     cursor = at[n];
@@ -1418,6 +1463,9 @@ class InterpEngine {
                    const TileLayout* tiles = nullptr,
                    std::vector<SymbolSpan>* spans = nullptr,
                    int stop_level = 1, ThreadPool* pool = nullptr) {
+    // Encode always walks the whole field; a decode that stops at level
+    // L walks the level-L lattice.
+    const Lattice lat = Lattice::of(dims, stop_level);
     std::size_t cursor = 0;
     std::size_t span_begin = 0;
     std::size_t span_out = 0;
@@ -1447,7 +1495,7 @@ class InterpEngine {
     }
 
     const int level_count = static_cast<int>(plan.levels.size());
-    const Box whole = Box::whole(dims);
+    const Box whole = Box::whole(lat.dims);
 
     // A tiled level walks tile by tile unless it is block-wise. The
     // encoder never tiles a block-wise plan and the driver refuses to
@@ -1458,12 +1506,12 @@ class InterpEngine {
     };
 
     // QP code scratch, sized once for the whole walk. Levels walked as a
-    // whole (or block by block) use this thread's field-sized buffer:
-    // every walk of a field asks for the same size whatever its plan, so
-    // a thread allocates it once (smaller, plan-dependent requests regrow
-    // it, and the freed buffers raised the serving benchmark's peak RSS
-    // by a fifth). A tile-walked level needs only its largest tile
-    // stage, on every thread walking a tile.
+    // whole (or block by block) use this thread's buffer the size of the
+    // walked array; a full decode's request regrows one a preview left
+    // smaller, and scratch.hpp returns the old pages at once. A
+    // tile-walked level needs only its largest tile stage, on every
+    // thread walking a tile — the same count on the lattice as in the
+    // field, so it comes from the field's tile 0.
     std::uint32_t* codes = spatial;
     std::size_t tile_need = 0;
     if (spatial == nullptr) {
@@ -1471,17 +1519,17 @@ class InterpEngine {
         tile_need = tile_codes_needed(dims, plan, qp, *tiles, stop_level);
       std::size_t need = tile_need;
       for (int level = level_count; level >= stop_level; --level)
-        if (qp_active_at(qp, level) && !tile_walked(level)) need = dims.size();
+        if (qp_active_at(qp, level) && !tile_walked(level))
+          need = lat.dims.size();
       if (need != 0) codes = scratch_cache<std::uint32_t>(need);
     }
 
     for (int level = level_count; level >= stop_level; --level) {
-      const std::size_t stride = std::size_t{1} << (level - 1);
       const LevelPlan& lp = plan.levels[static_cast<std::size_t>(level - 1)];
       quant.set_error_bound(base_eb * lp.eb_scale);
 
       if (tile_walked(level)) {
-        walk_tiles<kEncode>(data, dims, lp, level, quant, qp, syms, cursor,
+        walk_tiles<kEncode>(data, lat, lp, level, quant, qp, syms, cursor,
                             spatial, tile_need, sym_spatial, *tiles, spans,
                             pool);
         span_begin = cursor;
@@ -1490,8 +1538,8 @@ class InterpEngine {
       }
 
       if (!plan.blockwise(level)) {
-        for_each_stage(dims, stride, lp, level, [&](const StageCtx& ctx) {
-          run_stage<kEncode>(data, dims, ctx, lp.kind, quant, qp, syms,
+        for_each_stage(lat, lp, level, [&](const StageCtx& ctx) {
+          run_stage<kEncode>(data, lat.dims, ctx, lp.kind, quant, qp, syms,
                              cursor, codes, sym_spatial, /*blocked=*/false,
                              whole, /*tile_known=*/0, pool);
         });
@@ -1500,7 +1548,11 @@ class InterpEngine {
       }
 
       // Block-wise traversal (HPEZ-like): lexicographic block order, each
-      // block fully processed (all its stages) before the next.
+      // block fully processed (all its stages) before the next. The block
+      // grid is the field's — block_choice indexes its blocks — and each
+      // block maps to the lattice points it holds, [ceil(lo/S),
+      // ceil(hi/S)); a block holding none (S > block edge) walks nothing
+      // but keeps its index.
       const std::size_t bs = plan.block_size;
       std::array<std::size_t, kMaxRank> nblk{1, 1, 1, 1};
       for (int a = 0; a < dims.rank(); ++a)
@@ -1515,18 +1567,17 @@ class InterpEngine {
             for (b[3] = 0; b[3] < nblk[3]; ++b[3]) {
               Box blk = whole;
               for (int a = 0; a < dims.rank(); ++a) {
-                blk.lo[a] = b[a] * bs;
-                blk.hi[a] = std::min(blk.lo[a] + bs, dims.extent(a));
+                blk.lo[a] = lat.up(b[a] * bs);
+                blk.hi[a] =
+                    lat.up(std::min(b[a] * bs + bs, dims.extent(a)));
               }
               LevelPlan blp = plan.candidates[choice[bidx]];
               blp.eb_scale = lp.eb_scale;
-              for_each_stage(dims, stride, blp, level,
-                             [&](const StageCtx& ctx) {
-                               run_stage<kEncode>(data, dims, ctx, blp.kind,
-                                                  quant, qp, syms, cursor,
-                                                  codes, sym_spatial,
-                                                  /*blocked=*/true, blk);
-                             });
+              for_each_stage(lat, blp, level, [&](const StageCtx& ctx) {
+                run_stage<kEncode>(data, lat.dims, ctx, blp.kind, quant, qp,
+                                   syms, cursor, codes, sym_spatial,
+                                   /*blocked=*/true, blk);
+              });
               ++bidx;
             }
       record_span(level, kWholeDomainTile);
@@ -1573,9 +1624,8 @@ double InterpEngine<T>::level_cost_sample(
     const T* data, const Dims& dims, int level, const LevelPlan& lp, double eb,
     std::size_t sample_step, const std::array<std::size_t, kMaxRank>* lo,
     const std::array<std::size_t, kMaxRank>* hi) {
-  const std::size_t stride = std::size_t{1} << (level - 1);
   double bits = 0.0;
-  for_each_stage(dims, stride, lp, level, [&](const StageCtx& ctx) {
+  for_each_stage(Lattice::of(dims, 1), lp, level, [&](const StageCtx& ctx) {
     StageCtx sctx = ctx;
     if (lo && hi) {
       // Apply the same cross-block stencil guard the blocked encoder will

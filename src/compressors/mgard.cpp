@@ -27,6 +27,11 @@ T linear_pred(const T* src, const Dims& dims,
 
 /// The level/stage/point traversal shared by encode and decode. During
 /// encode `src == orig` (global transform); during decode `src == recon`.
+/// A decode that stops at `min_level` = L > 1 walks the level-L lattice
+/// of the field `dims`, its points c * 2^(L-1) stored densely (see
+/// InterpEngine's Lattice): `recon` and `codes` have that shape, stage
+/// strides divide by 2^(L-1), and the levels' error bounds, the QP gate
+/// and the QP axis choice stay the field's.
 template <class T, bool kEncode>
 void mgard_walk(const T* src, T* recon, const Dims& dims,
                 const std::vector<double>& level_eb, double base_eb,
@@ -39,6 +44,7 @@ void mgard_walk(const T* src, T* recon, const Dims& dims,
   const std::int32_t radius = quant.radius();
   const int levels = static_cast<int>(level_eb.size());
   const auto order = default_order(dims.rank());
+  const Dims lat = DecodeRequest::preview(min_level).output_dims(dims);
 
   if constexpr (!kEncode) {
     // The walk consumes one symbol per visited point — the level-
@@ -69,17 +75,17 @@ void mgard_walk(const T* src, T* recon, const Dims& dims,
   }
 
   for (int level = levels; level >= min_level; --level) {
-    const std::size_t s = std::size_t{1} << (level - 1);
+    const std::size_t s = std::size_t{1} << (level - min_level);
     quant.set_error_bound(level_eb[static_cast<std::size_t>(level - 1)]);
     for (int k = 0; k < dims.rank(); ++k) {
       const StageGrid g = make_stage_grid(
-          dims, s, std::span<const int>(order.data(), dims.rank()), k, level);
-      const QPAxes ax = assign_qp_axes(g, dims, g.dim);
+          lat, s, std::span<const int>(order.data(), dims.rank()), k, level);
+      const QPAxes ax = assign_qp_axes(g, lat, g.dim, dims);
 
-      for_each_stage_point(dims, g, [&](const std::array<std::size_t,
-                                                         kMaxRank>& c,
-                                        std::size_t idx) {
-        const T pred = linear_pred(src, dims, c, idx, g.dim, s);
+      for_each_stage_point(lat, g, [&](const std::array<std::size_t,
+                                                        kMaxRank>& c,
+                                       std::size_t idx) {
+        const T pred = linear_pred(src, lat, c, idx, g.dim, s);
 
         QPNeighborhood nb;
         nb.back = ax.back_off;
@@ -214,11 +220,12 @@ struct MGARDCodec {
   }
 
   /// A preview walks the hierarchy down to its level from the coarse
-  /// chunk prefix. The exact-bound correction pass indexes the finest
-  /// grid, so for level > 1 it is skipped and a preview is bounded by the
-  /// hierarchy's per-level error budget rather than the patched worst
-  /// case — the standard progressive trade. A full decode, and a level-1
-  /// preview, apply the corrections.
+  /// chunk prefix, on that level's lattice, straight into `out`. The
+  /// exact-bound correction pass indexes the finest grid, so for level >
+  /// 1 it is skipped and a preview is bounded by the hierarchy's
+  /// per-level error budget rather than the patched worst case — the
+  /// standard progressive trade. A full decode, and a level-1 preview,
+  /// apply the corrections.
   template <class T>
   static void decode(const ContainerReader& in, const DecodeRequest& req,
                      T* out, ThreadPool* pool, PartialDecodeStats* stats) {
@@ -228,16 +235,15 @@ struct MGARDCodec {
       throw DecodeError("preview level outside the archive's level range");
     s.symbols = read_symbols_stage(in, level_prefix(in, level), pool);
     const Dims& dims = in.dims();
-    decode_via_field(in, req, out, stats, [&](T* field) {
-      std::vector<std::uint32_t> codes(dims.size(), 0);
-      std::size_t cursor = 0;
-      mgard_walk<T, false>(field, field, dims, s.level_eb, s.c.error_bound,
-                           s.quant, s.c.qp, s.symbols, cursor, codes, nullptr,
-                           level);
-      if (level == 1)
-        apply_corrections_stage(in, field, dims.size(),
-                                s.c.error_bound / 2.0, "mgard");
-    });
+    std::vector<std::uint32_t> codes(
+        InterpEngine<T>::grid_point_count(dims, level), 0);
+    std::size_t cursor = 0;
+    mgard_walk<T, false>(out, out, dims, s.level_eb, s.c.error_bound, s.quant,
+                         s.c.qp, s.symbols, cursor, codes, nullptr, level);
+    if (level == 1)
+      apply_corrections_stage(in, out, dims.size(), s.c.error_bound / 2.0,
+                              "mgard");
+    report_partial(in, req, stats);
   }
 };
 

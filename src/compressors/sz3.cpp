@@ -150,12 +150,11 @@ struct SZ3Codec {
           "requires the interpolation path with a tile size");
     if (req.kind == DecodeRequest::Kind::kPreview && req.level != 1)
       throw DecodeError("sz3: lorenzo archives only support level-1 preview");
-    decode_via_field(in, req, out, stats, [&](T* field) {
-      std::vector<std::uint32_t> symbols =
-          read_symbols_stage(in, in.chunk_count(), pool);
-      std::size_t cur = 0;
-      lorenzo_walk<T, false>(field, in.dims(), lc.quant, symbols, cur);
-    });
+    std::vector<std::uint32_t> symbols =
+        read_symbols_stage(in, in.chunk_count(), pool);
+    std::size_t cur = 0;
+    lorenzo_walk<T, false>(out, in.dims(), lc.quant, symbols, cur);
+    report_partial(in, req, stats);
   }
 };
 

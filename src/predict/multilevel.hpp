@@ -120,14 +120,19 @@ struct QPAxes {
   std::size_t back_off = 0, left_off = 0, top_off = 0;
 };
 
+/// `field` decides which axes are degenerate (extent 1); `dims` gives the
+/// offsets. They differ for a walk over a decimated lattice of the
+/// field, where an axis may shrink to one lattice point: the walk keeps
+/// the field's axis choice, and that axis's neighbors are simply never
+/// available, exactly as in the full-size walk.
 inline QPAxes assign_qp_axes(const StageGrid& g, const Dims& dims,
-                             int back_axis) {
+                             int back_axis, const Dims& field) {
   QPAxes ax;
   ax.back = back_axis;
   int cands[kMaxRank];
   int ncand = 0;
   for (int a = dims.rank() - 1; a >= 0; --a) {
-    if (a != back_axis && dims.extent(a) > 1) cands[ncand++] = a;
+    if (a != back_axis && field.extent(a) > 1) cands[ncand++] = a;
   }
   ax.left = ncand > 0 ? cands[0] : -1;
   ax.top = ncand > 1 ? cands[1] : (ncand == 1 ? back_axis : -1);
@@ -139,6 +144,11 @@ inline QPAxes assign_qp_axes(const StageGrid& g, const Dims& dims,
   ax.left_off = off(ax.left);
   ax.top_off = off(ax.top);
   return ax;
+}
+
+inline QPAxes assign_qp_axes(const StageGrid& g, const Dims& dims,
+                             int back_axis) {
+  return assign_qp_axes(g, dims, back_axis, dims);
 }
 
 /// Default SZ3 direction order: axis 0 (slowest varying, "z") first.

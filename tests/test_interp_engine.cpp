@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <utility>
 
+#include "compressors/core/driver.hpp"
 #include "predict/multilevel.hpp"
 #include "util/field.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qip {
 namespace {
@@ -120,6 +124,80 @@ TEST(InterpEngine, BlockwiseRoundtripWithMixedChoices) {
   }
   roundtrip(f, plan, 1e-3, QPConfig{});
   roundtrip(f, plan, 1e-3, QPConfig::best_fit());
+}
+
+/// A plan whose levels other than 3 go block by block, each block taking
+/// one of four candidates.
+InterpPlan mixed_blockwise_plan(const Dims& dims, std::size_t block) {
+  const int levels = interpolation_level_count(dims);
+  InterpPlan plan = InterpPlan::uniform(levels, LevelPlan{});
+  plan.block_size = block;
+  LevelPlan md;
+  md.md = true;
+  LevelPlan rev;
+  rev.order = {2, 1, 0, 3};
+  LevelPlan lin;
+  lin.kind = InterpKind::kLinear;
+  plan.candidates = {LevelPlan{}, md, rev, lin};
+  std::size_t nblocks = 1;
+  for (int a = 0; a < dims.rank(); ++a)
+    nblocks *= (dims.extent(a) + block - 1) / block;
+  plan.level_blockwise.assign(static_cast<std::size_t>(levels), 0);
+  plan.block_choice.resize(static_cast<std::size_t>(levels));
+  for (int l = 1; l <= levels; ++l) {
+    auto& bc = plan.block_choice[static_cast<std::size_t>(l - 1)];
+    bc.resize(nblocks);
+    for (std::size_t b = 0; b < nblocks; ++b)
+      bc[b] = static_cast<std::uint8_t>((b * 7 + l) % plan.candidates.size());
+    if (l != 3) plan.level_blockwise[static_cast<std::size_t>(l - 1)] = 1;
+  }
+  return plan;
+}
+
+TEST(InterpEngine, BlockwisePreviewMatchesDecimatedDecode) {
+  // Every stop level of a block-wise plan decodes on its lattice to the
+  // decimated full reconstruction: the walk keeps the field's block grid
+  // and maps each block onto the lattice points it holds. Level 6 has
+  // lattice spacing 32, wider than both block edges, so some blocks hold
+  // no lattice point at all and must still keep their candidate index.
+  const double eb = 1e-3;
+  for (const auto& [dims, block] :
+       {std::pair{Dims{40, 40, 40}, std::size_t{16}},
+        std::pair{Dims{33, 21, 40}, std::size_t{8}}}) {
+    SCOPED_TRACE(dims.str());
+    const auto f = waves(dims);
+    const int levels = interpolation_level_count(dims);
+    ASSERT_EQ(levels, 6);
+    const InterpPlan plan = mixed_blockwise_plan(dims, block);
+    for (const QPConfig& qp : {QPConfig{}, QPConfig::best_fit()}) {
+      Field<float> recon = f.clone();
+      LinearQuantizer<float> enc(eb);
+      const auto res =
+          InterpEngine<float>::encode(recon.data(), dims, plan, eb, enc, qp);
+      ByteWriter w;
+      enc.save(w);
+      const auto buf = w.bytes();
+      for (unsigned nw : {1u, 4u}) {
+        ThreadPool pool(nw, /*cap_to_hardware=*/false);
+        for (int stop = 1; stop <= levels; ++stop) {
+          SCOPED_TRACE(::testing::Message() << "qp=" << qp.enabled
+                                            << " workers=" << nw
+                                            << " stop_level=" << stop);
+          ByteReader r(buf);
+          LinearQuantizer<float> dq(0.0);
+          dq.load(r);
+          const Field<float> want =
+              decimate_to_level(recon.data(), dims, stop);
+          Field<float> out(want.dims());
+          InterpEngine<float>::decode(res.symbols, dims, plan, eb, dq, qp,
+                                      out.data(), nullptr, stop, &pool);
+          ASSERT_EQ(std::memcmp(out.data(), want.data(),
+                                want.size() * sizeof(float)),
+                    0);
+        }
+      }
+    }
+  }
 }
 
 TEST(InterpEngine, QPIsTransparentToReconstruction) {

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <random>
 
 #include "compressors/sz3.hpp"
+#include "predict/multilevel.hpp"
 #include "util/stats.hpp"
 
 namespace qip {
@@ -144,6 +147,84 @@ TEST(MGARD, PreviewBeyondLevelsRefused) {
   EXPECT_EQ(mgard_decompress_preview<float>(arc, 4).dims(), (Dims{2, 2, 2}));
   EXPECT_THROW((void)mgard_decompress_preview<float>(arc, 5), DecodeError);
   EXPECT_THROW((void)mgard_decompress_preview<float>(arc, 99), DecodeError);
+}
+
+std::uint64_t fnv1a(const void* p, std::size_t n, std::uint64_t h) {
+  const auto* b = static_cast<const std::uint8_t*>(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= b[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// One pinned MGARD archive: its shape, dtype and QP configuration, and
+/// the FNV-1a of its previews at every level (each level's dims, then
+/// its values), chained coarse-to-fine into one hash.
+struct PreviewPin {
+  const char* name;
+  int rank;
+  std::array<std::size_t, kMaxRank> ext;
+  bool f64;
+  int qp;  ///< 0 off, 1 best_fit, 2 best_fit in 3-D over levels 1-3
+  std::uint64_t fnv;
+};
+
+template <class T>
+std::uint64_t preview_hash(const PreviewPin& k) {
+  const Dims dims(k.rank, k.ext);
+  Field<T> f(dims);
+  std::array<std::size_t, kMaxRank> c{};
+  for (c[0] = 0; c[0] < dims.extent(0); ++c[0])
+    for (c[1] = 0; c[1] < dims.extent(1); ++c[1])
+      for (c[2] = 0; c[2] < dims.extent(2); ++c[2])
+        for (c[3] = 0; c[3] < dims.extent(3); ++c[3]) {
+          const double r = 0.23 * static_cast<double>(c[0]) +
+                           0.17 * static_cast<double>(c[1]) +
+                           0.11 * static_cast<double>(c[2]) +
+                           0.07 * static_cast<double>(c[3]);
+          f[dims.index(c[0], c[1], c[2], c[3])] =
+              static_cast<T>(std::sin(r) + 0.3 * std::cos(3.1 * r));
+        }
+  MGARDConfig cfg;
+  cfg.error_bound = 1e-3;
+  if (k.qp != 0) cfg.qp = QPConfig::best_fit();
+  if (k.qp == 2) {
+    cfg.qp.dimension = QPDimension::k3D;
+    cfg.qp.max_level = 3;
+  }
+  const auto arc = mgard_compress(f.data(), dims, cfg);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (int level = interpolation_level_count(dims); level >= 1; --level) {
+    const Field<T> p = mgard_decompress_preview<T>(arc, level);
+    for (int a = 0; a < kMaxRank; ++a) {
+      const std::uint64_t e = p.dims().extent(a);
+      h = fnv1a(&e, sizeof e, h);
+    }
+    h = fnv1a(p.data(), p.size() * sizeof(T), h);
+  }
+  return h;
+}
+
+TEST(MGARD, PreviewBytesPinnedAtEveryLevel) {
+  // Hashes recorded from the full-size-scratch preview, before previews
+  // moved onto the level lattice; the {2, 37, 41} case has an axis that
+  // collapses to one lattice point at every preview level.
+  const PreviewPin pins[] = {
+      {"r1_f32_qp", 1, {97, 1, 1, 1}, false, 1, 0xdadbfe2483aaa8afull},
+      {"r2_f64_noqp", 2, {40, 33, 1, 1}, true, 0, 0x37709dc9857d9d44ull},
+      {"r2_f32_qp", 2, {29, 50, 1, 1}, false, 1, 0xafd0164701fa62c2ull},
+      {"r3_f32_qp", 3, {24, 17, 20, 1}, false, 1, 0x1d2912802dcd4a92ull},
+      {"r3_f64_qp3d", 3, {24, 17, 20, 1}, true, 2, 0xf64f881faa2cb5bdull},
+      {"r3_f32_qp_thin", 3, {2, 37, 41, 1}, false, 1, 0xd3e635c87c13cca0ull},
+      {"r4_f32_noqp", 4, {6, 9, 10, 12}, false, 0, 0xfa8fa32354f3dec1ull},
+      {"r4_f64_qp", 4, {5, 7, 9, 11}, true, 1, 0x264499d699c1a04cull},
+  };
+  for (const PreviewPin& k : pins) {
+    const std::uint64_t h =
+        k.f64 ? preview_hash<double>(k) : preview_hash<float>(k);
+    EXPECT_EQ(h, k.fnv) << k.name << ": actual 0x" << std::hex << h;
+  }
 }
 
 }  // namespace

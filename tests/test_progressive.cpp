@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "compressors/sz3.hpp"
 #include "data/synthetic.hpp"
 #include "simd/dispatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qip {
 namespace {
@@ -160,6 +162,88 @@ TEST(Progressive, HPEZPreviewMatchesWithoutTiles) {
   EXPECT_THROW(
       (void)hpez_decompress_region<float>(arc, make_box(f.dims(), {{0, 16}})),
       DecodeError);
+}
+
+TEST(Progressive, HPEZBlockwisePreviewMatchesAtEveryLevel) {
+  // An HPEZ archive whose plan commits block-wise levels, sealed as the
+  // encoder would seal it. Every preview decodes on its lattice with the
+  // field's block grid; level 6 (spacing 32) leaves some 16-point blocks
+  // without a lattice point.
+  const Dims dims{40, 40, 40};
+  const auto f = wave_field<float>(dims, 9);
+  const int levels = interpolation_level_count(dims);
+  InterpPlan plan = InterpPlan::uniform(levels, LevelPlan{});
+  plan.block_size = 16;
+  LevelPlan md;
+  md.md = true;
+  LevelPlan lin;
+  lin.kind = InterpKind::kLinear;
+  plan.candidates = {LevelPlan{}, md, lin};
+  plan.level_blockwise.assign(static_cast<std::size_t>(levels), 1);
+  plan.block_choice.assign(static_cast<std::size_t>(levels),
+                           std::vector<std::uint8_t>(27));
+  for (int l = 1; l <= levels; ++l)
+    for (std::size_t b = 0; b < 27; ++b)
+      plan.block_choice[static_cast<std::size_t>(l - 1)][b] =
+          static_cast<std::uint8_t>((b + static_cast<std::size_t>(l)) % 3);
+  const auto arc =
+      interp_seal(CompressorId::kHPEZ, f.data(), dims, plan, 1e-3, 32768,
+                  QPConfig::best_fit(), nullptr, nullptr);
+  const auto full = hpez_decompress<float>(arc);
+  ThreadPool pool(4, /*cap_to_hardware=*/false);
+  for (int level = 1; level <= levels; ++level) {
+    SCOPED_TRACE(level);
+    const auto prev = hpez_decompress_preview<float>(arc, level, &pool);
+    expect_identical(prev, decimate_to_level(full.data(), dims, level));
+  }
+}
+
+TEST(Progressive, PartialDecodesAllocateOnlyTheRequest) {
+  // A preview decodes straight into its output; a region allocates the
+  // coarse band's known-stride lattice plus the hull of its tiles
+  // widened by the known stride K (K + 1 on the high side) — never a
+  // field-sized buffer.
+  const Dims dims{96, 80, 72};
+  const auto f = wave_field<float>(dims, 5);
+  SZ3Config cfg;
+  cfg.error_bound = 1e-3;
+  cfg.auto_fallback = false;
+  cfg.tile_size = 16;
+  cfg.qp = QPConfig::best_fit();
+  const auto arc = sz3_compress(f.data(), dims, cfg);
+  const auto full = sz3_decompress<float>(arc);
+  const TileLayout tiles =
+      TileLayout::plan(16, dims, interpolation_level_count(dims));
+  ASSERT_TRUE(tiles.active());
+  const std::size_t t = tiles.tile_size;
+  const std::size_t K = tiles.known_stride();
+  const std::size_t lattice =
+      DecodeRequest::preview(tiles.max_level + 1).output_dims(dims).size();
+
+  for (int level = 2; level <= 4; ++level) {
+    PartialDecodeStats st;
+    const auto prev = sz3_decompress_preview<float>(arc, level, nullptr, &st);
+    expect_identical(prev, decimate_to_level(full.data(), dims, level));
+    EXPECT_EQ(st.scratch_elems, 0u) << "level " << level;
+  }
+  for (const Box& box : {make_box(dims, {{0, 5}, {0, 3}, {0, 2}}),
+                         make_box(dims, {{17, 30}, {33, 47}, {40, 72}}),
+                         make_box(dims, {{80, 96}, {60, 80}, {56, 72}}),
+                         make_box(dims, {{15, 17}, {31, 33}, {47, 49}})}) {
+    PartialDecodeStats st;
+    const auto got = sz3_decompress_region<float>(arc, box, nullptr, &st);
+    expect_identical(got, crop(full, box));
+    std::size_t bound = 1;
+    for (int a = 0; a < dims.rank(); ++a) {
+      const std::size_t hull = std::min((box.hi[a] + t - 1) / t * t,
+                                        dims.extent(a)) -
+                               box.lo[a] / t * t;
+      bound *= hull + 2 * K + 1;
+    }
+    EXPECT_GT(st.scratch_elems, lattice);
+    EXPECT_LE(st.scratch_elems, bound + lattice);
+    EXPECT_LT(st.scratch_elems, dims.size() / 4);
+  }
 }
 
 TEST(Progressive, HPEZRegionDecodeWithTiles) {

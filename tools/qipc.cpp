@@ -169,8 +169,10 @@ void print_partial_stats(const PartialDecodeStats& st) {
                          ? 100.0 * static_cast<double>(st.payload_bytes_read) /
                                static_cast<double>(st.payload_bytes_total)
                          : 100.0;
-  std::printf("  payload read: %zu of %zu bytes (%.1f%%)\n",
-              st.payload_bytes_read, st.payload_bytes_total, pct);
+  std::printf("  payload read: %zu of %zu bytes (%.1f%%), decode scratch: %zu "
+              "elements\n",
+              st.payload_bytes_read, st.payload_bytes_total, pct,
+              st.scratch_elems);
 }
 
 /// "A:B,A:B,..." per leading axis; unmentioned axes span the full
